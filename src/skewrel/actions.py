@@ -215,6 +215,7 @@ class Relation:
             key: tuple(sorted(set(wits), key=GroupElement.sort_key))
             for key, wits in pairs.items()
         }
+        self._free = all(len(w) == 1 for w in self.pairs.values())
 
     def __contains__(self, pair):
         return pair in self.pairs
@@ -229,7 +230,7 @@ class Relation:
         return self.pairs.get((x, y), ())
 
     def is_free(self) -> bool:
-        return all(len(w) == 1 for w in self.pairs.values())
+        return self._free
 
     def __eq__(self, other):
         return (isinstance(other, Relation)

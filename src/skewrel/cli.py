@@ -66,14 +66,15 @@ def cmd_relation(args) -> int:
 
 def cmd_ideals(args) -> int:
     field, action, rel = _free_relation(args.action)
+    classes = equivalence_classes(rel)
     ideals = []
     for members in enumerate_invariant_subsets(rel):
         ideal = ideal_from_invariant(rel, members)
-        classes = [block for block in equivalence_classes(rel) if block[0] in members]
         ideals.append({
             "invariant": ideal.invariant,
             "basis_size": ideal.dimension,
-            "generators": [{"x": block[0], "y": block[0]} for block in classes],
+            "generators": [{"x": block[0], "y": block[0]}
+                           for block in classes if block[0] in members],
         })
     return _emit({"command": "ideals", "ideals": ideals})
 

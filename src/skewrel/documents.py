@@ -9,6 +9,7 @@ first then encoding order for group elements).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .actions import PartialAction, Relation, validate_partial_action
 from .errors import DocumentError, SkewRelError, ValidationFailure
@@ -17,6 +18,20 @@ from .funalg import FunAlgElement, InducedAlgebraAction
 from .groups import GroupSpec
 from .relalg import RelElement
 from .skew import SkewElement
+
+
+@contextmanager
+def _as_document_error():
+    """Report a library error raised while reading a document as a DocumentError.
+
+    A ValidationFailure passes through: it carries the axiom report.
+    """
+    try:
+        yield
+    except ValidationFailure:
+        raise
+    except SkewRelError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def _require_keys(obj: dict, required, optional=(), what="object"):
@@ -32,13 +47,11 @@ def _require_keys(obj: dict, required, optional=(), what="object"):
 
 def parse_field(obj) -> FieldSpec:
     _require_keys(obj, ["kind"], ["modulus"], "field")
-    try:
+    with _as_document_error():
         if obj["kind"] == RATIONALS:
             return FieldSpec(RATIONALS)
         if obj["kind"] == PRIME_FIELD:
             return FieldSpec(PRIME_FIELD, obj.get("modulus"))
-    except SkewRelError as exc:
-        raise DocumentError(str(exc)) from exc
     raise DocumentError("unknown field kind %r" % obj["kind"])
 
 
@@ -51,7 +64,7 @@ def field_doc(field: FieldSpec) -> dict:
 def parse_group(obj) -> GroupSpec:
     _require_keys(obj, ["kind"], ["n", "elements", "identity", "table"], "group")
     kind = obj.get("kind")
-    try:
+    with _as_document_error():
         if kind == "cyclic":
             _require_keys(obj, ["kind", "n"], (), "cyclic group")
             return GroupSpec.cyclic(obj["n"])
@@ -61,8 +74,6 @@ def parse_group(obj) -> GroupSpec:
         if kind == "table":
             _require_keys(obj, ["kind", "elements", "identity", "table"], (), "table group")
             return GroupSpec.from_table(obj["elements"], obj["identity"], obj["table"])
-    except SkewRelError as exc:
-        raise DocumentError(str(exc)) from exc
     raise DocumentError("unknown group kind %r" % kind)
 
 
@@ -91,10 +102,10 @@ def parse_action_document(doc) -> tuple[FieldSpec, PartialAction]:
         raise DocumentError("maps must be a list")
     for entry in doc["maps"]:
         _require_keys(entry, ["t", "pairs"], (), "map entry")
-        try:
+        with _as_document_error():
             t = group.parse(entry["t"])
-        except SkewRelError as exc:
-            raise DocumentError(str(exc)) from exc
+        if not isinstance(entry["pairs"], list):
+            raise DocumentError("pairs of h_%s must be a list" % t)
         pairs = {}
         for pair in entry["pairs"]:
             if not (isinstance(pair, list) and len(pair) == 2):
@@ -105,10 +116,8 @@ def parse_action_document(doc) -> tuple[FieldSpec, PartialAction]:
         if t in maps:
             raise DocumentError("duplicate map entry for t=%s" % t)
         maps[t] = pairs
-    try:
+    with _as_document_error():
         action = PartialAction(group, doc["set"], maps)
-    except SkewRelError as exc:
-        raise DocumentError(str(exc)) from exc
     report = validate_partial_action(action)
     if not report.ok:
         failure = ValidationFailure("; ".join(report.render()))
@@ -118,12 +127,7 @@ def parse_action_document(doc) -> tuple[FieldSpec, PartialAction]:
 
 
 def load_action(path) -> tuple[FieldSpec, PartialAction]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DocumentError("cannot read %s: %s" % (path, exc)) from exc
-    return parse_action_document(doc)
+    return parse_action_document(load_json(path))
 
 
 def action_doc(field: FieldSpec, action: PartialAction) -> dict:
@@ -139,6 +143,13 @@ def action_doc(field: FieldSpec, action: PartialAction) -> dict:
     }
 
 
+def _parse_scalar(field: FieldSpec, text):
+    if not isinstance(text, str):
+        raise DocumentError("scalar must be a JSON string, got %s" % json.dumps(text))
+    with _as_document_error():
+        return field.parse(text)
+
+
 def parse_funalg(field: FieldSpec, carrier, obj) -> FunAlgElement:
     if not isinstance(obj, dict):
         raise DocumentError("function element must be an object label -> scalar")
@@ -146,10 +157,7 @@ def parse_funalg(field: FieldSpec, carrier, obj) -> FunAlgElement:
     for label, text in obj.items():
         if label not in carrier:
             raise DocumentError("unknown point %r" % label)
-        try:
-            coeffs[label] = field.parse(text)
-        except SkewRelError as exc:
-            raise DocumentError(str(exc)) from exc
+        coeffs[label] = _parse_scalar(field, text)
     return FunAlgElement(field, carrier, coeffs)
 
 
@@ -163,17 +171,13 @@ def parse_skew(alpha: InducedAlgebraAction, doc) -> SkewElement:
     terms = {}
     for entry in doc:
         _require_keys(entry, ["t", "coeffs"], (), "skew term")
-        try:
+        with _as_document_error():
             t = alpha.action.group.parse(entry["t"])
-        except SkewRelError as exc:
-            raise DocumentError(str(exc)) from exc
         if t in terms:
             raise DocumentError("duplicate term for t=%s" % t)
         terms[t] = parse_funalg(alpha.field, alpha.carrier, entry["coeffs"])
-    try:
+    with _as_document_error():
         return SkewElement(alpha, terms)
-    except SkewRelError as exc:
-        raise DocumentError(str(exc)) from exc
 
 
 def skew_doc(u: SkewElement) -> list:
@@ -191,10 +195,7 @@ def parse_rel(field: FieldSpec, rel: Relation, doc) -> RelElement:
             raise DocumentError("pair (%s, %s) is not in R" % key)
         if key in coeffs:
             raise DocumentError("duplicate entry for (%s, %s)" % key)
-        try:
-            coeffs[key] = field.parse(entry["value"])
-        except SkewRelError as exc:
-            raise DocumentError(str(exc)) from exc
+        coeffs[key] = _parse_scalar(field, entry["value"])
     return RelElement(field, rel, coeffs)
 
 

@@ -17,19 +17,73 @@ from .fields import FieldSpec, Scalar
 from .groups import GroupElement
 
 
-class FunAlgElement:
+def accumulate(out: dict, key, value):
+    """out[key] += value, where a missing key counts as zero."""
+    out[key] = out[key] + value if key in out else value
+
+
+class SparseSum:
+    """A finite formal sum {basis key: nonzero coefficient} over a context.
+
+    The context is the tuple of objects that fix the basis and the
+    coefficients (a carrier and a field, a relation and a field, an algebra
+    action). Subclasses validate keys, then call ``_store``; they supply the
+    product, ``scale``, the term order and ``repr``. ``_like`` builds a new
+    element over the same context from the subclass constructor.
+    """
+
+    coeffs: dict
+    context: tuple
+    mismatch: str          # the PreconditionError message for mixed contexts
+
+    def _store(self, context: tuple, coeffs):
+        self.context = context
+        self.coeffs = {k: c for k, c in (coeffs or {}).items() if not c.is_zero()}
+
+    def _like(self, coeffs):
+        return type(self)(*self.context, coeffs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _check(self, other):
+        # Tuple comparison tests each part for identity before calling __eq__,
+        # so elements over the same objects skip the structural comparison.
+        if self.context != other.context:
+            raise PreconditionError(self.mismatch)
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            accumulate(out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self))
+                and self.context == other.context
+                and self.coeffs == other.coeffs)
+
+
+class FunAlgElement(SparseSum):
     """Finite-support function carrier -> K, stored sparsely without zeros."""
+
+    mismatch = "elements live over different carriers or fields"
 
     def __init__(self, field: FieldSpec, carrier, coeffs=None):
         self.field = field
         self.carrier = tuple(carrier)
         self._index = {x: i for i, x in enumerate(self.carrier)}
-        self.coeffs: dict[str, Scalar] = {}
-        for x, c in (coeffs or {}).items():
+        for x in coeffs or ():
             if x not in self._index:
                 raise PreconditionError("%s is not a carrier point" % x)
-            if not c.is_zero():
-                self.coeffs[x] = c
+        self._store((field, self.carrier), coeffs)
 
     @staticmethod
     def delta(field: FieldSpec, carrier, x: str) -> "FunAlgElement":
@@ -45,50 +99,22 @@ class FunAlgElement:
     def support(self):
         return sorted(self.coeffs, key=self._index.__getitem__)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check(self, other: "FunAlgElement"):
-        if self.field != other.field or self.carrier != other.carrier:
-            raise PreconditionError("elements live over different carriers or fields")
-
-    def __add__(self, other: "FunAlgElement") -> "FunAlgElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for x, c in other.coeffs.items():
-            out[x] = out[x] + c if x in out else c
-        return FunAlgElement(self.field, self.carrier, out)
-
-    def __neg__(self) -> "FunAlgElement":
-        return FunAlgElement(self.field, self.carrier,
-                             {x: -c for x, c in self.coeffs.items()})
-
-    def __sub__(self, other: "FunAlgElement") -> "FunAlgElement":
-        return self + (-other)
-
     def __mul__(self, other: "FunAlgElement") -> "FunAlgElement":
         self._check(other)
         out = {}
         for x, c in self.coeffs.items():
             if x in other.coeffs:
                 out[x] = c * other.coeffs[x]
-        return FunAlgElement(self.field, self.carrier, out)
+        return self._like(out)
 
     def scale(self, k: Scalar) -> "FunAlgElement":
-        return FunAlgElement(self.field, self.carrier,
-                             {x: k * c for x, c in self.coeffs.items()})
+        return self._like({x: k * c for x, c in self.coeffs.items()})
 
     def compose(self, mapping: dict[str, str], carrier=None) -> "FunAlgElement":
         """self o mapping as a function on the mapping's domain carrier."""
         carrier = self.carrier if carrier is None else carrier
         out = {x: self.coeffs[y] for x, y in mapping.items() if y in self.coeffs}
         return FunAlgElement(self.field, carrier, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, FunAlgElement)
-                and self.field == other.field
-                and self.carrier == other.carrier
-                and self.coeffs == other.coeffs)
 
     def __repr__(self):
         if self.is_zero():

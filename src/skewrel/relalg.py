@@ -17,7 +17,7 @@ from .actions import (Relation, invariant_closure, is_invariant, equivalence_cla
                       witness)
 from .errors import NotFreeError, PreconditionError
 from .fields import FieldSpec, Scalar
-from .funalg import FunAlgElement, InducedAlgebraAction
+from .funalg import FunAlgElement, InducedAlgebraAction, SparseSum, accumulate
 from .skew import SkewElement
 
 
@@ -26,18 +26,18 @@ def _require_free(rel: Relation):
         raise NotFreeError("operation on F0(R) requires a free action")
 
 
-class RelElement:
+class RelElement(SparseSum):
     """Finite-support function R -> K, stored sparsely on pairs of R."""
+
+    mismatch = "elements over different relations or fields"
 
     def __init__(self, field: FieldSpec, relation: Relation, coeffs=None):
         self.field = field
         self.relation = relation
-        self.coeffs: dict[tuple[str, str], Scalar] = {}
-        for pair, c in (coeffs or {}).items():
+        for pair in coeffs or ():
             if pair not in relation:
                 raise PreconditionError("pair (%s, %s) is not in R" % pair)
-            if not c.is_zero():
-                self.coeffs[pair] = c
+        self._store((field, relation), coeffs)
 
     @staticmethod
     def delta(field: FieldSpec, relation: Relation, x: str, y: str) -> "RelElement":
@@ -47,34 +47,12 @@ class RelElement:
     def zero(field: FieldSpec, relation: Relation) -> "RelElement":
         return RelElement(field, relation)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def support(self):
         idx = self.relation.index
         return sorted(self.coeffs, key=lambda p: (idx(p[0]), idx(p[1])))
 
-    def _check(self, other: "RelElement"):
-        if self.field != other.field or self.relation != other.relation:
-            raise PreconditionError("elements over different relations or fields")
-
-    def __add__(self, other: "RelElement") -> "RelElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for pair, c in other.coeffs.items():
-            out[pair] = out[pair] + c if pair in out else c
-        return RelElement(self.field, self.relation, out)
-
-    def __neg__(self) -> "RelElement":
-        return RelElement(self.field, self.relation,
-                          {p: -c for p, c in self.coeffs.items()})
-
-    def __sub__(self, other: "RelElement") -> "RelElement":
-        return self + (-other)
-
     def scale(self, k: Scalar) -> "RelElement":
-        return RelElement(self.field, self.relation,
-                          {p: k * c for p, c in self.coeffs.items()})
+        return self._like({p: k * c for p, c in self.coeffs.items()})
 
     def __mul__(self, other: "RelElement") -> "RelElement":
         """Convolution: match middle coordinates over stored support only."""
@@ -83,18 +61,9 @@ class RelElement:
         out: dict[tuple[str, str], Scalar] = {}
         for (x, y), c in self.coeffs.items():
             for (y2, z), d in other.coeffs.items():
-                if y2 != y:
-                    continue
-                key = (x, z)
-                prod = c * d
-                out[key] = out[key] + prod if key in out else prod
-        return RelElement(self.field, self.relation, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, RelElement)
-                and self.field == other.field
-                and self.relation == other.relation
-                and self.coeffs == other.coeffs)
+                if y2 == y:
+                    accumulate(out, (x, z), c * d)
+        return self._like(out)
 
     def __repr__(self):
         if self.is_zero():
@@ -113,8 +82,7 @@ def gamma(rel: Relation, u: SkewElement) -> RelElement:
     for t, a in u.sorted_terms():
         tinv = t.inverse()
         for x, c in a.coeffs.items():
-            pair = (x, action.apply(tinv, x))
-            out[pair] = out[pair] + c if pair in out else c
+            accumulate(out, (x, action.apply(tinv, x)), c)
     return RelElement(u.action.field, rel, out)
 
 
@@ -125,10 +93,8 @@ def gamma_inv(alpha: InducedAlgebraAction, f: RelElement) -> SkewElement:
     _require_free(rel)
     terms: dict = {}
     for (x, y), c in f.coeffs.items():
-        s = witness(rel, x, y)
-        t = s.inverse()
-        d = FunAlgElement(alpha.field, alpha.carrier, {x: c})
-        terms[t] = terms[t] + d if t in terms else d
+        t = witness(rel, x, y).inverse()
+        accumulate(terms, t, FunAlgElement(alpha.field, alpha.carrier, {x: c}))
     return SkewElement(alpha, terms)
 
 

@@ -12,33 +12,37 @@ from __future__ import annotations
 
 from .errors import PreconditionError
 from .fields import Scalar
-from .funalg import FunAlgElement, InducedAlgebraAction
+from .funalg import FunAlgElement, InducedAlgebraAction, SparseSum, accumulate
 from .groups import GroupElement
 
-# Test-only fault-injection hook: when set, called on every cross-term
-# product so the self-test battery can demonstrate failure detection.
-_corrupt_term_hook = None
 
+class SkewElement(SparseSum):
+    """Finite formal sum of a_t delta_t terms over an induced algebra action.
 
-class SkewElement:
-    """Finite formal sum of a_t delta_t terms over an induced algebra action."""
+    ``coeffs`` (also ``terms``) maps t to the coefficient a_t in F0(X).
+    """
+
+    mismatch = "elements over different actions"
 
     def __init__(self, action: InducedAlgebraAction, terms=None, check_support=True):
         self.action = action
-        self.terms: dict[GroupElement, FunAlgElement] = {}
         for t, a in (terms or {}).items():
             if a.carrier != action.carrier or a.field != action.field:
                 raise PreconditionError("coefficient over the wrong carrier or field")
-            if a.is_zero():
-                continue
             if check_support:
-                support = a.support()
                 x_t = action.domain_support(t)
-                outside = [x for x in support if x not in x_t]
+                outside = [x for x in a.support() if x not in x_t]
                 if outside:
                     raise PreconditionError(
                         "a_%s has support outside X_%s at %s" % (t, t, ",".join(outside)))
-            self.terms[t] = a
+        self._store((action,), terms)
+
+    @property
+    def terms(self) -> dict[GroupElement, FunAlgElement]:
+        return self.coeffs
+
+    def _like(self, coeffs) -> "SkewElement":
+        return SkewElement(self.action, coeffs, check_support=False)
 
     @staticmethod
     def zero(action: InducedAlgebraAction) -> "SkewElement":
@@ -56,63 +60,32 @@ class SkewElement:
                           {x: action.field.one() for x in action.carrier})
         return SkewElement(action, {action.action.identity: f})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda p: p[0].sort_key())
-
-    def _check(self, other: "SkewElement"):
-        if self.action != other.action:
-            raise PreconditionError("elements over different actions")
-
-    def __add__(self, other: "SkewElement") -> "SkewElement":
-        self._check(other)
-        out = dict(self.terms)
-        for t, a in other.terms.items():
-            out[t] = out[t] + a if t in out else a
-        return SkewElement(self.action, out, check_support=False)
-
-    def __neg__(self) -> "SkewElement":
-        return SkewElement(self.action, {t: -a for t, a in self.terms.items()},
-                           check_support=False)
-
-    def __sub__(self, other: "SkewElement") -> "SkewElement":
-        return self + (-other)
+        return sorted(self.coeffs.items(), key=lambda p: p[0].sort_key())
 
     def scale(self, k: Scalar) -> "SkewElement":
-        return SkewElement(self.action, {t: a.scale(k) for t, a in self.terms.items()},
-                           check_support=False)
+        return self._like({t: a.scale(k) for t, a in self.coeffs.items()})
 
     def __mul__(self, other: "SkewElement") -> "SkewElement":
         self._check(other)
         alpha = self.action
+        right = other.sorted_terms()
         out: dict[GroupElement, FunAlgElement] = {}
         for t, a in self.sorted_terms():
             pulled = alpha.apply(t.inverse(), a)       # alpha_{t^-1}(a_t), in D_{t^-1}
-            for s, b in other.sorted_terms():
+            for s, b in right:
                 mid = pulled * b                       # lands in D_{t^-1} & D_s
-                if mid.is_zero():
-                    continue
-                term = alpha.apply(t, mid)             # in D_t & D_{ts}
-                if _corrupt_term_hook is not None:
-                    term = _corrupt_term_hook(term)
-                ts = t * s
-                out[ts] = out[ts] + term if ts in out else term
-        return SkewElement(self.action, out, check_support=False)
+                if not mid.is_zero():
+                    accumulate(out, t * s, alpha.apply(t, mid))   # in D_t & D_{ts}
+        return self._like(out)
 
     def validate(self) -> bool:
         """True iff every stored a_t is supported inside X_t."""
-        for t, a in self.terms.items():
+        for t, a in self.coeffs.items():
             x_t = self.action.domain_support(t)
             if any(x not in x_t for x in a.coeffs):
                 return False
         return True
-
-    def __eq__(self, other):
-        return (isinstance(other, SkewElement)
-                and self.action == other.action
-                and self.terms == other.terms)
 
     def __repr__(self):
         if self.is_zero():

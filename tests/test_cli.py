@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from skewrel import actions
 from skewrel.cli import main
 from skewrel.documents import (action_doc, parse_action_document)
 from skewrel.errors import DocumentError, ValidationFailure
@@ -96,6 +97,22 @@ class TestCommands:
         code, _out, err = run(capsys, "validate", str(path))
         assert code == 3 and err
 
+    @pytest.mark.parametrize("doc, algebra, element", [
+        (dict(E1_DOC, maps=[{"t": "1", "pairs": 5}]), None, None),
+        (E1_DOC, "skew", [{"t": "1", "coeffs": {"a": 3}}]),
+        (E1_DOC, "rel", [{"x": "a", "y": "b", "value": 3}]),
+    ])
+    def test_malformed_document_exit_3(self, tmp_path, capsys, doc, algebra, element):
+        action = write(tmp_path, "action.json", doc)
+        if algebra is None:
+            argv = ["validate", action]
+        else:
+            elem = write(tmp_path, "elem.json", element)
+            argv = ["mul", "--algebra", algebra, action, elem, elem]
+        code, _out, err = run(capsys, *argv)
+        assert code == 3
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_relation(self, tmp_path, capsys):
         code, out, _ = run(capsys, "relation", write(tmp_path, "e1.json", E1_DOC))
         assert code == 0
@@ -124,6 +141,22 @@ class TestCommands:
         code, out, _ = run(capsys, "ideals", write(tmp_path, "e2.json", E2_DOC))
         doc = json.loads(out)
         assert [i["basis_size"] for i in doc["ideals"]] == [0, 9]
+
+    def test_ideals_checks_equivalence_a_fixed_number_of_times(self, tmp_path, capsys,
+                                                               monkeypatch):
+        calls = []
+        check = actions.verify_equivalence
+        monkeypatch.setattr(actions, "verify_equivalence",
+                            lambda rel: calls.append(rel) or check(rel))
+        counts = []
+        for k in (1, 5):
+            doc = {"field": {"kind": "rationals"}, "group": {"kind": "cyclic", "n": 1},
+                   "set": ["p%d" % i for i in range(k)], "maps": []}
+            calls.clear()
+            code, out, _ = run(capsys, "ideals", write(tmp_path, "triv.json", doc))
+            assert code == 0 and len(json.loads(out)["ideals"]) == 1 << k
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_mul_skew(self, tmp_path, capsys):
         action = write(tmp_path, "e1.json", E1_DOC)

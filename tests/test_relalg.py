@@ -78,6 +78,19 @@ class TestConvolution:
         with pytest.raises(NotFreeError):
             f * f
 
+    def test_context_compared_by_value(self, e1, e2):
+        _, rel, _ = e1
+        twin = build_relation(e1_action())
+        assert twin is not rel
+        f = RelElement.delta(Q, rel, "a", "b")
+        g = RelElement.delta(Q, twin, "b", "a")
+        assert f * g == RelElement.delta(Q, twin, "a", "a")
+        assert f - g == f + (-g)
+        with pytest.raises(PreconditionError):
+            f + RelElement.delta(Q, e2[1], "1", "1")
+        with pytest.raises(PreconditionError):
+            f * RelElement.delta(F5, rel, "b", "a")
+
     def test_pair_outside_relation_rejected(self, e1):
         _, rel, _ = e1
         with pytest.raises(PreconditionError):
