@@ -45,13 +45,38 @@ def _require_keys(obj: dict, required, optional=(), what="object"):
         raise DocumentError("%s has unknown keys %s" % (what, unknown))
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise DocumentError("%s must be a JSON string, got %s" % (what, json.dumps(value)))
+    return value
+
+
+def _integer(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DocumentError("%s must be a JSON integer, got %s" % (what, json.dumps(value)))
+    return value
+
+
+def _labels(value, what: str) -> list:
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise DocumentError("%s must be a list of labels" % what)
+    return value
+
+
+def _parse_text(parse, text, what: str):
+    """parse(text) for a JSON string; a library error becomes a DocumentError."""
+    text = _string(text, what)
+    with _as_document_error():
+        return parse(text)
+
+
 def parse_field(obj) -> FieldSpec:
     _require_keys(obj, ["kind"], ["modulus"], "field")
     with _as_document_error():
         if obj["kind"] == RATIONALS:
             return FieldSpec(RATIONALS)
         if obj["kind"] == PRIME_FIELD:
-            return FieldSpec(PRIME_FIELD, obj.get("modulus"))
+            return FieldSpec(PRIME_FIELD, _integer(obj.get("modulus"), "modulus"))
     raise DocumentError("unknown field kind %r" % obj["kind"])
 
 
@@ -67,13 +92,18 @@ def parse_group(obj) -> GroupSpec:
     with _as_document_error():
         if kind == "cyclic":
             _require_keys(obj, ["kind", "n"], (), "cyclic group")
-            return GroupSpec.cyclic(obj["n"])
+            return GroupSpec.cyclic(_integer(obj["n"], "n"))
         if kind == "integers":
             _require_keys(obj, ["kind"], (), "integers group")
             return GroupSpec.integers()
         if kind == "table":
             _require_keys(obj, ["kind", "elements", "identity", "table"], (), "table group")
-            return GroupSpec.from_table(obj["elements"], obj["identity"], obj["table"])
+            names, table = _labels(obj["elements"], "elements"), obj["table"]
+            if not (isinstance(table, list) and all(
+                    isinstance(row, list) and all(name in names for name in row)
+                    for row in table)):
+                raise DocumentError("table must be a list of rows of element names")
+            return GroupSpec.from_table(names, obj["identity"], table)
     raise DocumentError("unknown group kind %r" % kind)
 
 
@@ -95,20 +125,18 @@ def parse_action_document(doc) -> tuple[FieldSpec, PartialAction]:
     _require_keys(doc, ["field", "group", "set", "maps"], (), "action document")
     field = parse_field(doc["field"])
     group = parse_group(doc["group"])
-    if not isinstance(doc["set"], list) or not all(isinstance(x, str) for x in doc["set"]):
-        raise DocumentError("set must be a list of labels")
+    _labels(doc["set"], "set")
     maps = {}
     if not isinstance(doc["maps"], list):
         raise DocumentError("maps must be a list")
     for entry in doc["maps"]:
         _require_keys(entry, ["t", "pairs"], (), "map entry")
-        with _as_document_error():
-            t = group.parse(entry["t"])
+        t = _parse_text(group.parse, entry["t"], "group element")
         if not isinstance(entry["pairs"], list):
             raise DocumentError("pairs of h_%s must be a list" % t)
         pairs = {}
         for pair in entry["pairs"]:
-            if not (isinstance(pair, list) and len(pair) == 2):
+            if len(_labels(pair, "map pair")) != 2:
                 raise DocumentError("map pair must be [x, y]")
             if pair[0] in pairs:
                 raise DocumentError("duplicate source %r in h_%s" % (pair[0], t))
@@ -143,13 +171,6 @@ def action_doc(field: FieldSpec, action: PartialAction) -> dict:
     }
 
 
-def _parse_scalar(field: FieldSpec, text):
-    if not isinstance(text, str):
-        raise DocumentError("scalar must be a JSON string, got %s" % json.dumps(text))
-    with _as_document_error():
-        return field.parse(text)
-
-
 def parse_funalg(field: FieldSpec, carrier, obj) -> FunAlgElement:
     if not isinstance(obj, dict):
         raise DocumentError("function element must be an object label -> scalar")
@@ -157,7 +178,7 @@ def parse_funalg(field: FieldSpec, carrier, obj) -> FunAlgElement:
     for label, text in obj.items():
         if label not in carrier:
             raise DocumentError("unknown point %r" % label)
-        coeffs[label] = _parse_scalar(field, text)
+        coeffs[label] = _parse_text(field.parse, text, "scalar")
     return FunAlgElement(field, carrier, coeffs)
 
 
@@ -171,8 +192,7 @@ def parse_skew(alpha: InducedAlgebraAction, doc) -> SkewElement:
     terms = {}
     for entry in doc:
         _require_keys(entry, ["t", "coeffs"], (), "skew term")
-        with _as_document_error():
-            t = alpha.action.group.parse(entry["t"])
+        t = _parse_text(alpha.action.group.parse, entry["t"], "group element")
         if t in terms:
             raise DocumentError("duplicate term for t=%s" % t)
         terms[t] = parse_funalg(alpha.field, alpha.carrier, entry["coeffs"])
@@ -190,12 +210,12 @@ def parse_rel(field: FieldSpec, rel: Relation, doc) -> RelElement:
     coeffs = {}
     for entry in doc:
         _require_keys(entry, ["x", "y", "value"], (), "relation entry")
-        key = (entry["x"], entry["y"])
+        key = (_string(entry["x"], "x"), _string(entry["y"], "y"))
         if key not in rel:
             raise DocumentError("pair (%s, %s) is not in R" % key)
         if key in coeffs:
             raise DocumentError("duplicate entry for (%s, %s)" % key)
-        coeffs[key] = _parse_scalar(field, entry["value"])
+        coeffs[key] = _parse_text(field.parse, entry["value"], "scalar")
     return RelElement(field, rel, coeffs)
 
 

@@ -16,16 +16,30 @@ RATIONALS = "rationals"
 PRIME_FIELD = "prime-field"
 
 
+# Miller-Rabin over the prime bases up to 37 decides primality exactly below
+# this bound (Sorenson & Webster, Math. Comp. 2017); larger moduli are refused.
+MODULUS_LIMIT = 318665857834031151167461
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n in _WITNESSES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -39,6 +53,8 @@ class FieldSpec:
             if self.modulus is not None:
                 raise StructureError("rationals take no modulus")
         elif self.kind == PRIME_FIELD:
+            if self.modulus is not None and self.modulus >= MODULUS_LIMIT:
+                raise StructureError("prime-field modulus must be below %d" % MODULUS_LIMIT)
             if self.modulus is None or not _is_prime(self.modulus):
                 raise StructureError(
                     "prime-field modulus must be prime, got %r" % (self.modulus,))

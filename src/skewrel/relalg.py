@@ -58,11 +58,13 @@ class RelElement(SparseSum):
         """Convolution: match middle coordinates over stored support only."""
         self._check(other)
         _require_free(self.relation)
+        by_first: dict[str, list] = {}
+        for (y, z), d in other.coeffs.items():
+            by_first.setdefault(y, []).append((z, d))
         out: dict[tuple[str, str], Scalar] = {}
         for (x, y), c in self.coeffs.items():
-            for (y2, z), d in other.coeffs.items():
-                if y2 == y:
-                    accumulate(out, (x, z), c * d)
+            for z, d in by_first.get(y, ()):
+                accumulate(out, (x, z), c * d)
         return self._like(out)
 
     def __repr__(self):
@@ -143,44 +145,42 @@ def count_ideals(rel: Relation) -> int:
     return 1 << len(equivalence_classes(rel))
 
 
+def _subtract_multiple(vec: dict, c: Scalar, row: dict):
+    """vec -= c·row in place, dropping the entries that cancel."""
+    for col, b in row.items():
+        accumulate(vec, col, -(c * b))
+        if vec[col].is_zero():
+            del vec[col]
+
+
 class ExactRowSpace:
-    """Row space over K in reduced echelon form; exact arithmetic throughout."""
+    """Row space over K in reduced echelon form; exact arithmetic throughout.
+
+    Vectors are sparse dicts {column: Scalar}. ``rows`` maps each pivot column
+    to its row, whose pivot entry is one and which every other row is zero at;
+    reduced echelon form is unique, so ``==`` compares spaces.
+    """
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
-        self.rows: list[list[Scalar]] = []   # kept reduced, sorted by pivot
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict[int, Scalar]] = {}
 
-    def _reduce(self, vec):
-        vec = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = vec[piv]
-            if not c.is_zero():
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
-
-    def contains(self, vec) -> bool:
-        return all(c.is_zero() for c in self._reduce(vec))
-
-    def add(self, vec) -> bool:
-        """Insert a vector; returns True if the space grew."""
-        vec = self._reduce(vec)
-        piv = next((i for i, c in enumerate(vec) if not c.is_zero()), None)
-        if piv is None:
+    def add(self, vec: dict) -> bool:
+        """Insert a sparse vector; returns True if the space grew."""
+        vec = {col: c for col, c in vec.items() if not c.is_zero()}
+        # A row is zero at every other pivot, so the touched pivots are known up front.
+        for piv in [col for col in vec if col in self.rows]:
+            _subtract_multiple(vec, vec[piv], self.rows[piv])
+        if not vec:
             return False
+        piv = min(vec)
         inv = vec[piv].inverse()
-        vec = [inv * c for c in vec]
-        # back-substitute into existing rows to keep the reduced form
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if not c.is_zero():
-                self.rows[i] = [a - c * b for a, b in zip(row, vec)]
-        self.rows.append(vec)
-        self.pivots.append(piv)
-        order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
+        vec = {col: inv * c for col, c in vec.items()}
+        for row in self.rows.values():
+            if piv in row:
+                _subtract_multiple(row, row[piv], vec)
+        self.rows[piv] = vec
         return True
 
     @property
@@ -194,28 +194,25 @@ class ExactRowSpace:
                 and self.rows == other.rows)
 
 
-def _to_vector(f: RelElement, basis_pairs):
-    return [f.coeffs.get(p, f.field.zero()) for p in basis_pairs]
-
-
 def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> ExactRowSpace:
     """Smallest subspace containing the generators and closed under left and
     right convolution by every delta pair of R; the oracle for the ideal
     classification. Iterates exact row reduction to a fixed point."""
     _require_free(rel)
-    basis_pairs = rel.sorted_pairs()
-    space = ExactRowSpace(field, len(basis_pairs))
-    frontier = []
-    for g in generators:
-        if space.add(_to_vector(g, basis_pairs)):
-            frontier.append(g)
-    deltas = [RelElement.delta(field, rel, x, y) for (x, y) in basis_pairs]
+    column = {pair: i for i, pair in enumerate(rel.sorted_pairs())}
+    space = ExactRowSpace(field, len(column))
+
+    def grows(f: RelElement) -> bool:
+        return space.add({column[p]: c for p, c in f.coeffs.items()})
+
+    frontier = [g for g in generators if grows(g)]
+    deltas = [RelElement.delta(field, rel, x, y) for (x, y) in column]
     while frontier:
         new_frontier = []
         for f in frontier:
             for d in deltas:
                 for prod in (d * f, f * d):
-                    if not prod.is_zero() and space.add(_to_vector(prod, basis_pairs)):
+                    if not prod.is_zero() and grows(prod):
                         new_frontier.append(prod)
         frontier = new_frontier
     return space
@@ -223,9 +220,8 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
 
 def span_of_ideal(field: FieldSpec, ideal: RelIdeal) -> ExactRowSpace:
     """Coefficient space of F0((Z x Z) & R), for comparison with the oracle."""
-    basis_pairs = ideal.relation.sorted_pairs()
-    space = ExactRowSpace(field, len(basis_pairs))
+    column = {pair: i for i, pair in enumerate(ideal.relation.sorted_pairs())}
+    space = ExactRowSpace(field, len(column))
     for pair in ideal.basis:
-        vec = [field.one() if p == pair else field.zero() for p in basis_pairs]
-        space.add(vec)
+        space.add({column[pair]: field.one()})
     return space

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -24,6 +25,10 @@ E2_DOC = {
         {"t": "2", "pairs": [["1", "3"]]},
     ],
 }
+
+Z2_TABLE = {"kind": "table", "elements": ["e", "g"], "identity": "e",
+            "table": [["e", "g"], ["g", "e"]]}
+Z2_DOC = dict(E1_DOC, group=Z2_TABLE, maps=[{"t": "g", "pairs": [["a", "b"], ["b", "a"]]}])
 
 
 def write(tmp_path, name, doc):
@@ -101,6 +106,25 @@ class TestCommands:
         (dict(E1_DOC, maps=[{"t": "1", "pairs": 5}]), None, None),
         (E1_DOC, "skew", [{"t": "1", "coeffs": {"a": 3}}]),
         (E1_DOC, "rel", [{"x": "a", "y": "b", "value": 3}]),
+        (dict(E1_DOC, maps=[{"t": "1", "pairs": [[["a"], "b"]]}]), None, None),
+        (dict(E1_DOC, maps=[{"t": "1", "pairs": [["a", ["b"]]]}]), None, None),
+        (E1_DOC, "rel", [{"x": ["a"], "y": "b", "value": "1"}]),
+        (E1_DOC, "rel", [{"x": "a", "y": ["b"], "value": "1"}]),
+        (dict(E1_DOC, group={"kind": "cyclic", "n": "2"}), None, None),
+        (dict(E1_DOC, group={"kind": "cyclic", "n": 2.5}), None, None),
+        (dict(E1_DOC, group={"kind": "cyclic", "n": True}, maps=[]), None, None),
+        (dict(E1_DOC, field={"kind": "prime-field", "modulus": "7"}), None, None),
+        (dict(E1_DOC, field={"kind": "prime-field",
+                             "modulus": 318665857834031151167461}), None, None),
+        (dict(E1_DOC, maps=[{"t": [1], "pairs": [["a", "b"], ["b", "a"]]}]), None, None),
+        (dict(E1_DOC, maps=[{"t": 1, "pairs": [["a", "b"], ["b", "a"]]}]), None, None),
+        (E1_DOC, "skew", [{"t": [1], "coeffs": {"a": "3"}}]),
+        (dict(Z2_DOC, group=dict(Z2_TABLE, table=[["e", "g"], ["g", "x"]])), None, None),
+        (dict(Z2_DOC, group=dict(Z2_TABLE, table=[["e", "g"], ["g", 0]])), None, None),
+        (dict(Z2_DOC, group=dict(Z2_TABLE, table=5)), None, None),
+        (dict(Z2_DOC, group=dict(Z2_TABLE, table=[5, 5])), None, None),
+        (dict(Z2_DOC, group=dict(Z2_TABLE, elements=5)), None, None),
+        (dict(Z2_DOC, group=dict(Z2_TABLE, elements=[["e"], "g"])), None, None),
     ])
     def test_malformed_document_exit_3(self, tmp_path, capsys, doc, algebra, element):
         action = write(tmp_path, "action.json", doc)
@@ -112,6 +136,18 @@ class TestCommands:
         code, _out, err = run(capsys, *argv)
         assert code == 3
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_table_group_document(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "validate", write(tmp_path, "z2.json", Z2_DOC))
+        assert code == 0 and json.loads(out)["free"]
+
+    def test_large_prime_modulus_validates_quickly(self, tmp_path, capsys):
+        doc = dict(E1_DOC, field={"kind": "prime-field", "modulus": 2 ** 61 - 1})
+        path = write(tmp_path, "e1.json", doc)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "validate", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and json.loads(out)["ok"]
 
     def test_relation(self, tmp_path, capsys):
         code, out, _ = run(capsys, "relation", write(tmp_path, "e1.json", E1_DOC))

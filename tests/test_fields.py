@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from skewrel.errors import PreconditionError, StructureError
-from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
+from skewrel.fields import MODULUS_LIMIT, FieldSpec, PRIME_FIELD, RATIONALS, _is_prime
 
 Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)
@@ -29,6 +31,26 @@ def test_modulus_must_be_prime():
     with pytest.raises(StructureError):
         FieldSpec(PRIME_FIELD, 1)
     FieldSpec(PRIME_FIELD, 2)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    assert all(_is_prime(n) == _trial_division(n) for n in range(10 ** 5))
+
+
+def test_carmichael_moduli_rejected():
+    for n in (561, 41041):
+        with pytest.raises(StructureError, match="must be prime"):
+            FieldSpec(PRIME_FIELD, n)
+
+
+def test_modulus_limit():
+    FieldSpec(PRIME_FIELD, 2 ** 61 - 1)
+    with pytest.raises(StructureError, match="must be below"):
+        FieldSpec(PRIME_FIELD, MODULUS_LIMIT)
 
 
 def test_canonical_forms():

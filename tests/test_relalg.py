@@ -9,10 +9,10 @@ from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle
 from skewrel.funalg import InducedAlgebraAction
 from skewrel.groups import GroupSpec
-from skewrel.relalg import (RelElement, brute_force_ideal_span, count_ideals, gamma,
-                            gamma_inv, ideal_closure_of, ideal_from_invariant,
-                            ideal_membership, span_of_ideal)
-from skewrel.selftest import random_rel, random_skew
+from skewrel.relalg import (ExactRowSpace, RelElement, brute_force_ideal_span,
+                            count_ideals, gamma, gamma_inv, ideal_closure_of,
+                            ideal_from_invariant, ideal_membership, span_of_ideal)
+from skewrel.selftest import random_rel, random_scalar, random_skew
 from skewrel.skew import SkewElement
 
 Q = FieldSpec(RATIONALS)
@@ -34,6 +34,38 @@ def non_free_relation():
     pa = PartialAction(z2, ["a", "b", "c"],
                        {z2.element(1): {"a": "b", "b": "a", "c": "c"}})
     return build_relation(pa)
+
+
+def three_class_action():
+    """Z_2 swapping a <-> b and c <-> d; classes {a, b}, {c, d} and {e}."""
+    z2 = GroupSpec.cyclic(2)
+    return PartialAction(z2, ["a", "b", "c", "d", "e"],
+                         {z2.element(1): {"a": "b", "b": "a", "c": "d", "d": "c"}})
+
+
+def dense_gauss_jordan(field, width, vectors):
+    """Reference elimination on dense rows: (add results, reduced rows by pivot)."""
+    zero = field.zero()
+    rows, grew = [], []
+    for vec in vectors:
+        v = [vec.get(i, zero) for i in range(width)]
+        for row in rows:
+            c = v[next(i for i, b in enumerate(row) if not b.is_zero())]
+            v = [a - c * b for a, b in zip(v, row)]
+        nonzero = [i for i, c in enumerate(v) if not c.is_zero()]
+        grew.append(bool(nonzero))
+        if not nonzero:
+            continue
+        piv = nonzero[0]
+        inv = v[piv].inverse()
+        v = [inv * c for c in v]
+        rows = [[a - row[piv] * b for a, b in zip(row, v)] for row in rows]
+        rows.append(v)
+    reduced = {}
+    for row in rows:
+        support = {i: c for i, c in enumerate(row) if not c.is_zero()}
+        reduced[min(support)] = support
+    return grew, reduced
 
 
 class TestConvolution:
@@ -71,6 +103,25 @@ class TestConvolution:
         for _ in range(100):
             f, g, l = (random_rel(rng, Q, rel) for _ in range(3))
             assert (f * g) * l == f * (g * l)
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("make_action", [e1_action, e2_action, three_class_action],
+                             ids=["E1", "E2", "three-classes"])
+    def test_matches_definition_random(self, field, make_action):
+        # (f * g)(x, z) = sum over y of f(x, y) g(y, z), from the plain dicts
+        _, rel, _ = fixture_bundle(field, make_action())
+        zero = field.zero()
+        rng = random.Random(34)
+        for _ in range(60):
+            f, g = random_rel(rng, field, rel), random_rel(rng, field, rel)
+            expected = {}
+            for x, z in rel.pairs:
+                total = zero
+                for y in rel.carrier:
+                    total = total + f.coeffs.get((x, y), zero) * g.coeffs.get((y, z), zero)
+                if not total.is_zero():
+                    expected[(x, z)] = total
+            assert (f * g).coeffs == expected
 
     def test_non_free_rejected(self):
         rel = non_free_relation()
@@ -197,6 +248,24 @@ class TestIdeals:
         assert count_ideals(e2[1]) == 2
         trivial = PartialAction(GroupSpec.cyclic(1), ["p", "q", "r"], {})
         assert count_ideals(build_relation(trivial)) == 8
+
+
+class TestExactRowSpace:
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    def test_matches_dense_gauss_jordan(self, field):
+        rng = random.Random(89)
+        for width in range(1, 13):
+            for _ in range(10):
+                vectors = [{col: field.zero() if rng.random() < 0.1
+                            else random_scalar(rng, field)
+                            for col in range(width) if rng.random() < 0.35}
+                           for _ in range(rng.randint(1, 2 * width))]
+                space = ExactRowSpace(field, width)
+                grew = [space.add(vec) for vec in vectors]
+                ref_grew, ref_rows = dense_gauss_jordan(field, width, vectors)
+                assert grew == ref_grew
+                assert space.dimension == len(ref_rows)
+                assert space.rows == ref_rows
 
 
 class TestBruteForceSpan:
