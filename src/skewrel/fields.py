@@ -7,6 +7,7 @@ positive denominator), prime-field values are residues in [0, p).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,9 @@ PRIME_FIELD = "prime-field"
 # this bound (Sorenson & Webster, Math. Comp. 2017); larger moduli are refused.
 MODULUS_LIMIT = 318665857834031151167461
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# ASCII digits only: int() alone would also take "1_000", "+3", " 3" and non-ASCII digits.
+_SCALAR_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(n: int) -> bool:
@@ -81,30 +85,50 @@ class FieldSpec:
         return Scalar(self, Fraction(num, den))
 
     def parse(self, text: str) -> "Scalar":
-        """Parse "p/q" or "n" (rationals) / "k" (prime field)."""
-        text = text.strip()
-        try:
-            if "/" in text:
-                num_s, den_s = text.split("/", 1)
-                return self.from_fraction(int(num_s), int(den_s))
-            return self.from_int(int(text))
-        except ValueError as exc:
-            raise StructureError("bad scalar literal %r" % (text,)) from exc
+        """Parse a literal "n" or "p/q" of ASCII digits, exactly -?[0-9]+(/[0-9]+)?."""
+        if not _SCALAR_LITERAL.fullmatch(text):
+            raise StructureError("bad scalar literal %r" % (text,))
+        num, _, den = text.partition("/")
+        if den:
+            return self.from_fraction(int(num), int(den))
+        return self.from_int(int(num))
 
 
-@dataclass(frozen=True)
 class Scalar:
-    field: FieldSpec
-    value: object  # Fraction (rationals) or int residue (prime field)
+    """An immutable field element: ``field`` and ``value`` are set once."""
+
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: FieldSpec, value):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "value", value)  # Fraction (rationals) or int residue
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        return Scalar, (self.field, self.value)
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return ((self.field is other.field or self.field == other.field)
+                and self.value == other.value)
+
+    def __hash__(self):
+        return hash((self.field, self.value))
 
     def _check(self, other: "Scalar"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise PreconditionError("scalars from different fields")
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         v = self.value + other.value
-        if self.field.kind == PRIME_FIELD:
+        if self.field.modulus is not None:
             v %= self.field.modulus
         return Scalar(self.field, v)
 
@@ -114,20 +138,20 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         v = self.value * other.value
-        if self.field.kind == PRIME_FIELD:
+        if self.field.modulus is not None:
             v %= self.field.modulus
         return Scalar(self.field, v)
 
     def __neg__(self) -> "Scalar":
         v = -self.value
-        if self.field.kind == PRIME_FIELD:
+        if self.field.modulus is not None:
             v %= self.field.modulus
         return Scalar(self.field, v)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise PreconditionError("zero has no inverse")
-        if self.field.kind == PRIME_FIELD:
+        if self.field.modulus is not None:
             return Scalar(self.field, pow(self.value, -1, self.field.modulus))
         return Scalar(self.field, 1 / self.value)
 

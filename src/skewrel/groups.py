@@ -8,6 +8,7 @@ becomes a latent state.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import PreconditionError, StructureError
@@ -15,6 +16,9 @@ from .errors import PreconditionError, StructureError
 CYCLIC = "cyclic"
 INTEGERS = "integers"
 TABLE = "table"
+
+# ASCII digits only: int() alone would also take "1_0", "+1", " 1" and non-ASCII digits.
+_INTEGER_LITERAL = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -97,10 +101,9 @@ class GroupSpec:
             if text not in self.names:
                 raise StructureError("unknown group element %r" % (text,))
             return GroupElement(self, self.names.index(text))
-        try:
-            return self.element(int(text))
-        except ValueError as exc:
-            raise StructureError("bad group element literal %r" % (text,)) from exc
+        if not _INTEGER_LITERAL.fullmatch(text):
+            raise StructureError("bad group element literal %r" % (text,))
+        return self.element(int(text))
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,9 @@ class ExactRowSpace:
 def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> ExactRowSpace:
     """Smallest subspace containing the generators and closed under left and
     right convolution by every delta pair of R; the oracle for the ideal
-    classification. Iterates exact row reduction to a fixed point."""
+    classification. Iterates exact row reduction to a fixed point, and stops
+    as soon as the span is the whole coefficient space, which is closed
+    already; this needs no knowledge of the R-classes."""
     _require_free(rel)
     column = {pair: i for i, pair in enumerate(rel.sorted_pairs())}
     space = ExactRowSpace(field, len(column))
@@ -207,12 +209,14 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
 
     frontier = [g for g in generators if grows(g)]
     deltas = [RelElement.delta(field, rel, x, y) for (x, y) in column]
-    while frontier:
+    while frontier and space.dimension < space.width:
         new_frontier = []
         for f in frontier:
             for d in deltas:
                 for prod in (d * f, f * d):
                     if not prod.is_zero() and grows(prod):
+                        if space.dimension == space.width:
+                            return space
                         new_frontier.append(prod)
         frontier = new_frontier
     return space

@@ -125,7 +125,10 @@ class TestCommands:
         (dict(Z2_DOC, group=dict(Z2_TABLE, table=[5, 5])), None, None),
         (dict(Z2_DOC, group=dict(Z2_TABLE, elements=5)), None, None),
         (dict(Z2_DOC, group=dict(Z2_TABLE, elements=[["e"], "g"])), None, None),
-    ])
+    ] + [(E1_DOC, "rel", [{"x": "a", "y": "b", "value": text}])
+         for text in ["1_000", " +3", "+3", "3 ", "1/-2", "\u0663"]]
+      + [(dict(E1_DOC, maps=[{"t": text, "pairs": [["a", "b"], ["b", "a"]]}]), None, None)
+         for text in ["1_0", "1_1", " 1"]])
     def test_malformed_document_exit_3(self, tmp_path, capsys, doc, algebra, element):
         action = write(tmp_path, "action.json", doc)
         if algebra is None:

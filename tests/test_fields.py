@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,13 +68,39 @@ def test_parse_round_trip():
     for text in ["5/6", "-3", "0", "7/3"]:
         assert str(Q.parse(text)) == text
     assert F5.parse("9") == F5.from_int(4)
-    with pytest.raises(StructureError):
-        Q.parse("1.5")
+    for text in ["1.5", "1_000", "+3", " 3", "3 ", "1/-2", "1/+2", "\u0663", "3\n", ""]:
+        with pytest.raises(StructureError, match="bad scalar literal"):
+            Q.parse(text)
 
 
 def test_field_mismatch():
     with pytest.raises(PreconditionError):
         Q.one() + F5.one()
+
+
+def test_scalar_semantics():
+    x = Q.from_fraction(-1, 2)
+    for name in ("value", "field"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x.value == Fraction(-1, 2) and x.field is Q
+    a, b = FieldSpec(PRIME_FIELD, 5).from_int(3), FieldSpec(PRIME_FIELD, 5).from_int(8)
+    assert a.field is not b.field
+    assert a == b and hash(a) == hash(b)
+    assert a + b == F5.from_int(1) and a * b == F5.from_int(4)
+    f7 = FieldSpec(PRIME_FIELD, 7)
+    for u, v in ((Q.one(), F5.one()), (F5.one(), f7.one())):
+        with pytest.raises(PreconditionError, match="different fields"):
+            u + v
+        with pytest.raises(PreconditionError, match="different fields"):
+            u * v
+    assert Q.one() != F5.one() and Q.one() != 1
+    assert (str(x), repr(x)) == ("-1/2", "Scalar(-1/2)")
+    assert (str(a), repr(a)) == ("3", "Scalar(3)")
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert clone == x and clone.field == Q
 
 
 rationals = st.builds(

@@ -76,6 +76,10 @@ def test_parse_encodings():
     assert str(z.parse("-7")) == "-7"
     z4 = GroupSpec.cyclic(4)
     assert z4.parse("6") == z4.element(2)
+    for group in (z, z4):
+        for text in ["1_0", " 1", "1 ", "+1", "\u0663", "1/2", ""]:
+            with pytest.raises(StructureError, match="bad group element literal"):
+                group.parse(text)
 
 
 def test_sort_key_identity_first():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from skewrel import actions, relalg
 from skewrel.actions import PartialAction, build_relation
 from skewrel.errors import NotFreeError, PreconditionError
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
@@ -66,6 +67,49 @@ def dense_gauss_jordan(field, width, vectors):
         support = {i: c for i, c in enumerate(row) if not c.is_zero()}
         reduced[min(support)] = support
     return grew, reduced
+
+
+def fixed_point_span(field, rel, generators):
+    """Reference oracle: the closure loop run to its fixed point, with no stop rule."""
+    column = {pair: i for i, pair in enumerate(rel.sorted_pairs())}
+    space = ExactRowSpace(field, len(column))
+
+    def grows(f):
+        return space.add({column[p]: c for p, c in f.coeffs.items()})
+
+    frontier = [g for g in generators if grows(g)]
+    deltas = [RelElement.delta(field, rel, x, y) for (x, y) in column]
+    while frontier:
+        new_frontier = []
+        for f in frontier:
+            for d in deltas:
+                for prod in (d * f, f * d):
+                    if not prod.is_zero() and grows(prod):
+                        new_frontier.append(prod)
+        frontier = new_frontier
+    return space
+
+
+def oracle_cases(field, make_action):
+    """(relation, generator lists): ones spanning all of F0(R), ones that do
+    not, the empty list, and seeded random lists of one to three elements."""
+    _, rel, _ = fixture_bundle(field, make_action())
+    pairs = rel.sorted_pairs()
+    classes = actions.equivalence_classes(rel)
+    two = field.from_int(2)
+    # One diagonal unit per class meets every class; dropping the last one does not.
+    diagonal = [RelElement.delta(field, rel, block[0], block[0]) for block in classes]
+    dense = RelElement(field, rel, {p: two for p in pairs})
+    cases = [[], diagonal, [sum(diagonal[1:], diagonal[0])], [dense],
+             diagonal[:-1], [RelElement.delta(field, rel, *pairs[-1])]]
+    rng = random.Random(71)
+    cases += [[random_rel(rng, field, rel) for _ in range(rng.randint(1, 3))]
+              for _ in range(12)]
+    return rel, cases
+
+
+ORACLE_ACTIONS = [e1_action, e2_action, three_class_action]
+ORACLE_IDS = ["E1", "E2", "three-class"]
 
 
 class TestConvolution:
@@ -311,3 +355,33 @@ class TestBruteForceSpan:
                 if set(s1) <= set(s2):
                     assert b1 <= b2
         assert len(ideals) == count_ideals(rel)
+
+
+class TestOracleStopRule:
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("make_action", ORACLE_ACTIONS, ids=ORACLE_IDS)
+    def test_matches_fixed_point_loop(self, field, make_action):
+        rel, cases = oracle_cases(field, make_action)
+        dimensions = set()
+        for generators in cases:
+            span = brute_force_ideal_span(field, rel, generators)
+            assert span == fixed_point_span(field, rel, generators)
+            dimensions.add(span.dimension)
+        assert 0 in dimensions and len(rel.pairs) in dimensions
+        assert len(dimensions) > 2 or len(actions.equivalence_classes(rel)) == 1
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("make_action", ORACLE_ACTIONS, ids=ORACLE_IDS)
+    def test_independent_of_classification(self, field, make_action, monkeypatch):
+        rel, cases = oracle_cases(field, make_action)
+        expected = [fixed_point_span(field, rel, generators) for generators in cases]
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the oracle consulted the classification")
+
+        for module in (relalg, actions):
+            for name in ("ideal_closure_of", "invariant_closure", "equivalence_classes"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        assert [brute_force_ideal_span(field, rel, generators)
+                for generators in cases] == expected
