@@ -21,7 +21,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError, StructureError
-from .groups import INTEGERS, GroupElement, GroupSpec
+from .groups import GroupElement, GroupSpec
+
+
+class Carrier(tuple):
+    """An ordered finite set of labels with its label -> position map.
+
+    A Carrier equals, and hashes as, the plain tuple of its labels. The map is
+    built once: ``Carrier(c)`` returns ``c`` itself when it already is one, so
+    the action, its relation and every element over them share it.
+    """
+
+    def __new__(cls, labels):
+        if isinstance(labels, Carrier):
+            return labels
+        self = super().__new__(cls, labels)
+        self.position = {x: i for i, x in enumerate(self)}
+        if len(self.position) != len(self):
+            raise StructureError("duplicate labels in carrier")
+        return self
+
+    def sort(self, labels) -> list:
+        """The labels in carrier order; each must be a carrier point."""
+        return sorted(labels, key=self.position.__getitem__)
+
+    def require(self, labels):
+        """Raise PreconditionError unless every label is a carrier point."""
+        for x in labels:
+            if x not in self.position:
+                raise PreconditionError("%s is not a carrier point" % x)
 
 
 class PartialAction:
@@ -30,10 +58,8 @@ class PartialAction:
     def __init__(self, group: GroupSpec, carrier, maps):
         """maps: {GroupElement t: {x label: h_t(x) label}}; e may be omitted."""
         self.group = group
-        self.carrier = tuple(carrier)
-        if len(set(self.carrier)) != len(self.carrier):
-            raise StructureError("duplicate labels in carrier")
-        self._index = {x: i for i, x in enumerate(self.carrier)}
+        self.carrier = Carrier(carrier)
+        position = self.carrier.position
 
         e = group.identity()
         normalized: dict[GroupElement, dict[str, str]] = {}
@@ -42,7 +68,7 @@ class PartialAction:
                 raise StructureError("map keyed by element of a different group")
             pairs = dict(pairs)
             for x, y in pairs.items():
-                if x not in self._index or y not in self._index:
+                if x not in position or y not in position:
                     raise StructureError("pair (%s, %s) leaves the carrier" % (x, y))
             if len(set(pairs.values())) != len(pairs):
                 raise StructureError("h_%s is not injective" % t)
@@ -78,32 +104,27 @@ class PartialAction:
     def apply(self, t: GroupElement, x: str) -> str:
         """h_t(x); x must lie in the domain X_{t^-1}."""
         if t == self.identity:
-            if x not in self._index:
-                raise PreconditionError("%s is not a carrier point" % x)
+            self.carrier.require([x])
             return x
         entry = self.maps.get(t)
         if entry is None or x not in entry:
             raise PreconditionError("%s is not in the domain of h_%s" % (x, t))
         return entry[x]
 
-    def index(self, x: str) -> int:
-        return self._index[x]
-
     def sort_labels(self, labels):
-        return sorted(labels, key=self._index.__getitem__)
+        return self.carrier.sort(labels)
 
     def check_elements(self):
-        """Group elements over which the axioms are verified.
+        """Group elements over which the axioms are verified: the closure set
+        {t^-1 u : t, u in S+{e}} over the listed elements S, for every group.
 
-        Finite groups: everything. Integers: the closure set
-        {t^-1 u : t, u in S+{e}} + S + {e} over the listed elements S,
-        outside of which every X_t is empty.
+        It holds S+{e}, and for any (t, s) outside it, axioms (2) and (3)
+        compare only empty sets, since X_t and X_{ts} cannot both be nonempty
+        there, nor X_{s^-1} and X_{(ts)^-1}.
         """
-        if self.group.kind == INTEGERS:
-            base = set(self.maps) | {self.identity}
-            closure = {t.inverse() * u for t in base for u in base}
-            return sorted(closure | base, key=GroupElement.sort_key)
-        return sorted(self.group.elements(), key=GroupElement.sort_key)
+        base = set(self.maps) | {self.identity}
+        return sorted({t.inverse() * u for t in base for u in base},
+                      key=GroupElement.sort_key)
 
     def __eq__(self, other):
         return (isinstance(other, PartialAction)
@@ -197,8 +218,8 @@ class FreenessReport:
 def check_free(pa: PartialAction) -> FreenessReport:
     """Free means h_t(x) = x forces t = e."""
     for t in pa.listed():
-        for x, y in sorted(pa.maps[t].items(), key=lambda p: pa.index(p[0])):
-            if x == y:
+        for x in pa.sort_labels(pa.maps[t]):
+            if pa.maps[t][x] == x:
                 return FreenessReport(False, (t, x))
     return FreenessReport(True)
 
@@ -208,8 +229,7 @@ class Relation:
 
     def __init__(self, carrier, pairs, action: PartialAction | None = None):
         """pairs: {(x, y): iterable of GroupElement witnesses}."""
-        self.carrier = tuple(carrier)
-        self._index = {x: i for i, x in enumerate(self.carrier)}
+        self.carrier = Carrier(carrier)
         self.action = action
         self.pairs = {
             key: tuple(sorted(set(wits), key=GroupElement.sort_key))
@@ -220,11 +240,9 @@ class Relation:
     def __contains__(self, pair):
         return pair in self.pairs
 
-    def index(self, x: str) -> int:
-        return self._index[x]
-
     def sorted_pairs(self):
-        return sorted(self.pairs, key=lambda p: (self._index[p[0]], self._index[p[1]]))
+        position = self.carrier.position
+        return sorted(self.pairs, key=lambda p: (position[p[0]], position[p[1]]))
 
     def witnesses(self, x: str, y: str):
         return self.pairs.get((x, y), ())
@@ -298,9 +316,7 @@ def equivalence_classes(rel: Relation) -> list[list[str]]:
 def invariant_closure(rel: Relation, subset) -> list[str]:
     """Least R-invariant superset: union of classes meeting the subset."""
     subset = set(subset)
-    for x in subset:
-        if x not in rel._index:
-            raise PreconditionError("%s is not a carrier point" % x)
+    rel.carrier.require(subset)
     members = {y for x in subset for y in rel.carrier if (x, y) in rel.pairs}
     return [x for x in rel.carrier if x in members]
 

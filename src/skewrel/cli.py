@@ -26,6 +26,10 @@ EXIT_INVALID = 1
 EXIT_PROPERTY = 2
 EXIT_IO = 3
 
+# Every character str.splitlines() breaks at, escaped, so that a diagnostic
+# quoting a document's labels stays on one line.
+_ESCAPED_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
 
 def _emit(doc) -> int:
     print(dump_json(doc))
@@ -168,12 +172,9 @@ def main(argv=None) -> int:
         for line in lines:
             print(line, file=sys.stderr)
         return EXIT_INVALID
-    except (PreconditionError, StructureError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    except DocumentError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
+    except (PreconditionError, StructureError, DocumentError) as exc:
+        print(str(exc).translate(_ESCAPED_BREAKS), file=sys.stderr)
+        return EXIT_IO if isinstance(exc, DocumentError) else EXIT_INVALID
 
 
 if __name__ == "__main__":

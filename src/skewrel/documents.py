@@ -174,12 +174,9 @@ def action_doc(field: FieldSpec, action: PartialAction) -> dict:
 def parse_funalg(field: FieldSpec, carrier, obj) -> FunAlgElement:
     if not isinstance(obj, dict):
         raise DocumentError("function element must be an object label -> scalar")
-    coeffs = {}
-    for label, text in obj.items():
-        if label not in carrier:
-            raise DocumentError("unknown point %r" % label)
-        coeffs[label] = _parse_text(field.parse, text, "scalar")
-    return FunAlgElement(field, carrier, coeffs)
+    coeffs = {label: _parse_text(field.parse, text, "scalar") for label, text in obj.items()}
+    with _as_document_error():
+        return FunAlgElement(field, carrier, coeffs)
 
 
 def funalg_doc(f: FunAlgElement) -> dict:
@@ -211,12 +208,11 @@ def parse_rel(field: FieldSpec, rel: Relation, doc) -> RelElement:
     for entry in doc:
         _require_keys(entry, ["x", "y", "value"], (), "relation entry")
         key = (_string(entry["x"], "x"), _string(entry["y"], "y"))
-        if key not in rel:
-            raise DocumentError("pair (%s, %s) is not in R" % key)
         if key in coeffs:
             raise DocumentError("duplicate entry for (%s, %s)" % key)
         coeffs[key] = _parse_text(field.parse, entry["value"], "scalar")
-    return RelElement(field, rel, coeffs)
+    with _as_document_error():
+        return RelElement(field, rel, coeffs)
 
 
 def rel_doc(f: RelElement) -> list:

@@ -2,7 +2,6 @@
 
 Exit-code mapping used by the CLI:
   StructureError / ValidationFailure / PreconditionError -> 1
-  PropertyFailure -> 2
   DocumentError -> 3
 """
 
@@ -29,10 +28,6 @@ class NotFreeError(PreconditionError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class PropertyFailure(SkewRelError):
-    """A seeded property suite found a counterexample."""
 
 
 class DocumentError(SkewRelError):

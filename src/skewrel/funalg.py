@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import PartialAction, validate_partial_action
+from .actions import Carrier, PartialAction, validate_partial_action
 from .errors import PreconditionError
 from .fields import FieldSpec, Scalar
 from .groups import GroupElement
@@ -78,11 +78,8 @@ class FunAlgElement(SparseSum):
 
     def __init__(self, field: FieldSpec, carrier, coeffs=None):
         self.field = field
-        self.carrier = tuple(carrier)
-        self._index = {x: i for i, x in enumerate(self.carrier)}
-        for x in coeffs or ():
-            if x not in self._index:
-                raise PreconditionError("%s is not a carrier point" % x)
+        self.carrier = Carrier(carrier)
+        self.carrier.require(coeffs or ())
         self._store((field, self.carrier), coeffs)
 
     @staticmethod
@@ -97,7 +94,7 @@ class FunAlgElement(SparseSum):
         return self.coeffs.get(x, self.field.zero())
 
     def support(self):
-        return sorted(self.coeffs, key=self._index.__getitem__)
+        return self.carrier.sort(self.coeffs)
 
     def __mul__(self, other: "FunAlgElement") -> "FunAlgElement":
         self._check(other)
@@ -110,18 +107,10 @@ class FunAlgElement(SparseSum):
     def scale(self, k: Scalar) -> "FunAlgElement":
         return self._like({x: k * c for x, c in self.coeffs.items()})
 
-    def compose(self, mapping: dict[str, str], carrier=None) -> "FunAlgElement":
-        """self o mapping as a function on the mapping's domain carrier."""
-        carrier = self.carrier if carrier is None else carrier
-        out = {x: self.coeffs[y] for x, y in mapping.items() if y in self.coeffs}
-        return FunAlgElement(self.field, carrier, out)
-
     def __repr__(self):
         if self.is_zero():
             return "0"
-        return " + ".join("%s·δ_%s" % (c, x)
-                          for x, c in sorted(self.coeffs.items(),
-                                             key=lambda p: self._index[p[0]]))
+        return " + ".join("%s·δ_%s" % (self.coeffs[x], x) for x in self.support())
 
 
 class LinearMapOnBasis:
@@ -255,18 +244,21 @@ class InducedAlgebraAction:
         self.carrier = action.carrier
 
     def domain_support(self, t: GroupElement):
-        """Support set of D_t, i.e. X_t."""
-        return self.action.subset(t)
+        """Support set of D_t, i.e. X_t, as a read-only view: the carrier for
+        t = e, else the domain of h_{t^-1}, which is X_t in a valid action."""
+        if t == self.action.identity:
+            return self.carrier.position.keys()
+        return self.action.maps.get(t.inverse(), {}).keys()
 
     def apply(self, t: GroupElement, f: FunAlgElement) -> FunAlgElement:
         """alpha_t(f) = f o h_{t^-1}; requires support(f) within X_{t^-1}."""
-        if f.carrier != self.carrier or f.field != self.field:
+        if f.context != (self.field, self.carrier):
             raise PreconditionError("element lives over the wrong carrier or field")
-        dom = self.action.subset(t.inverse())
-        outside = [x for x in f.support() if x not in dom]
+        dom = self.domain_support(t.inverse())
+        outside = [x for x in f.coeffs if x not in dom]
         if outside:
             raise PreconditionError(
-                "support escapes X_{t^-1} at %s" % ",".join(outside))
+                "support escapes X_{t^-1} at %s" % ",".join(self.carrier.sort(outside)))
         out = {}
         for x, c in f.coeffs.items():
             out[self.action.apply(t, x)] = c
@@ -299,7 +291,6 @@ def recover_set_action(field: FieldSpec, group, carrier, family) -> PartialActio
     bijection h_{t^-1}: X_t -> X_{t^-1}; the recovered action is validated and
     must reproduce the family exactly.
     """
-    carrier = tuple(carrier)
     e = group.identity()
     maps: dict[GroupElement, dict[str, str]] = {}
     for t, (support, alpha_t) in family.items():

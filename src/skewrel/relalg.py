@@ -48,8 +48,8 @@ class RelElement(SparseSum):
         return RelElement(field, relation)
 
     def support(self):
-        idx = self.relation.index
-        return sorted(self.coeffs, key=lambda p: (idx(p[0]), idx(p[1])))
+        position = self.relation.carrier.position
+        return sorted(self.coeffs, key=lambda p: (position[p[0]], position[p[1]]))
 
     def scale(self, k: Scalar) -> "RelElement":
         return self._like({p: k * c for p, c in self.coeffs.items()})
@@ -93,11 +93,11 @@ def gamma_inv(alpha: InducedAlgebraAction, f: RelElement) -> SkewElement:
     at t = s^-1 with f_t(x) = f(x, h_{t^-1}(x))."""
     rel = f.relation
     _require_free(rel)
-    terms: dict = {}
+    coeffs: dict = {}          # t -> {x: f_t(x)}; x and t fix y, so no x repeats
     for (x, y), c in f.coeffs.items():
-        t = witness(rel, x, y).inverse()
-        accumulate(terms, t, FunAlgElement(alpha.field, alpha.carrier, {x: c}))
-    return SkewElement(alpha, terms)
+        coeffs.setdefault(witness(rel, x, y).inverse(), {})[x] = c
+    return SkewElement(alpha, {t: FunAlgElement(alpha.field, alpha.carrier, a)
+                               for t, a in coeffs.items()})
 
 
 class RelIdeal:

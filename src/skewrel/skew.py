@@ -26,15 +26,16 @@ class SkewElement(SparseSum):
 
     def __init__(self, action: InducedAlgebraAction, terms=None, check_support=True):
         self.action = action
+        context = (action.field, action.carrier)
         for t, a in (terms or {}).items():
-            if a.carrier != action.carrier or a.field != action.field:
+            if a.context != context:
                 raise PreconditionError("coefficient over the wrong carrier or field")
             if check_support:
                 x_t = action.domain_support(t)
-                outside = [x for x in a.support() if x not in x_t]
+                outside = [x for x in a.coeffs if x not in x_t]
                 if outside:
-                    raise PreconditionError(
-                        "a_%s has support outside X_%s at %s" % (t, t, ",".join(outside)))
+                    raise PreconditionError("a_%s has support outside X_%s at %s"
+                                            % (t, t, ",".join(action.carrier.sort(outside))))
         self._store((action,), terms)
 
     @property
@@ -81,11 +82,8 @@ class SkewElement(SparseSum):
 
     def validate(self) -> bool:
         """True iff every stored a_t is supported inside X_t."""
-        for t, a in self.coeffs.items():
-            x_t = self.action.domain_support(t)
-            if any(x not in x_t for x in a.coeffs):
-                return False
-        return True
+        return all(a.coeffs.keys() <= self.action.domain_support(t)
+                   for t, a in self.coeffs.items())
 
     def __repr__(self):
         if self.is_zero():

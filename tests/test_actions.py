@@ -1,14 +1,19 @@
+import copy
 import itertools
+import pickle
+import random
 
 import pytest
 
-from skewrel.actions import (PartialAction, Relation, build_relation, check_free,
+from skewrel.actions import (Carrier, PartialAction, Relation, build_relation, check_free,
                              enumerate_invariant_subsets, equivalence_classes,
                              invariant_closure, is_invariant,
                              validate_partial_action, verify_equivalence, witness)
 from skewrel.errors import PreconditionError, StructureError
 from skewrel.fixtures import e1_action, e2_action, trivial_action
-from skewrel.groups import GroupSpec
+from skewrel.groups import GroupElement, GroupSpec
+
+from test_groups import s3_table_from_permutations
 
 
 def e2_without_h2():
@@ -180,3 +185,78 @@ def test_inverse_maps_are_pair_inverses():
     for pa in (e1_action(), e2_action()):
         for t in pa.listed():
             assert pa.maps[t.inverse()] == {y: x for x, y in pa.maps[t].items()}
+
+
+class TestCarrier:
+    def test_built_once(self):
+        carrier = Carrier(["a", "b", "c"])
+        assert Carrier(carrier) is carrier
+        pa = PartialAction(GroupSpec.cyclic(2), carrier, {})
+        assert pa.carrier is carrier
+        assert build_relation(pa).carrier is carrier
+
+    def test_is_the_tuple_of_its_labels(self):
+        carrier = Carrier(["b", "a"])
+        assert carrier == ("b", "a") and hash(carrier) == hash(("b", "a"))
+        assert carrier.position == {"b": 0, "a": 1}
+        assert carrier.sort({"a", "b"}) == ["b", "a"]
+        with pytest.raises(StructureError):
+            Carrier(["a", "b", "a"])
+
+    def test_copy_and_pickle_keep_the_positions(self):
+        carrier = Carrier(["x", "y"])
+        for twin in (copy.copy(carrier), copy.deepcopy(carrier),
+                     pickle.loads(pickle.dumps(carrier))):
+            assert type(twin) is Carrier and twin == carrier
+            assert twin.position == {"x": 0, "y": 1}
+
+
+def full_group_report(pa):
+    """Reference: validate over every element of a finite group."""
+    pa.check_elements = lambda: sorted(pa.group.elements(), key=GroupElement.sort_key)
+    return validate_partial_action(pa)
+
+
+def random_partial_action(rng, group):
+    """A partial action of a finite group on at most 4 points, often invalid.
+
+    Half the time it is a restriction of the action of the group on itself by
+    left multiplication, which is valid; otherwise random partial injections
+    for some elements, with an explicit and usually inconsistent inverse now
+    and then.
+    """
+    elements = group.elements()
+    if rng.random() < 0.5:
+        points = rng.sample(elements, min(len(elements), rng.randint(0, 4)))
+        maps = {t: {str(x): str(t * x) for x in points if t * x in points}
+                for t in elements if not t.is_identity()}
+        return PartialAction(group, [str(x) for x in points], maps)
+    points = ["p%d" % i for i in range(rng.randint(0, 4))]
+    maps = {}
+    for t in elements:
+        if t.is_identity() or rng.random() < 0.5 or (t.inverse() in maps
+                                                      and rng.random() < 0.8):
+            continue
+        domain = rng.sample(points, rng.randint(0, len(points)))
+        maps[t] = dict(zip(domain, rng.sample(points, len(domain))))
+    return PartialAction(group, points, maps)
+
+
+class TestCheckElements:
+    def test_closure_set_matches_the_whole_group(self):
+        rng = random.Random(5)
+        names, table = s3_table_from_permutations()
+        groups = [GroupSpec.cyclic(n) for n in range(1, 10)]
+        groups.append(GroupSpec.from_table(names, "e", table))
+        failing = 0
+        for trial in range(1500):
+            pa = random_partial_action(rng, groups[trial % len(groups)])
+            got = validate_partial_action(pa).render()
+            assert got == full_group_report(pa).render()
+            failing += bool(got)
+        assert 200 < failing < 1300     # both valid and invalid actions were compared
+
+    def test_integers_use_the_closure_set(self):
+        z = GroupSpec.integers()
+        pa = PartialAction(z, ["1", "2", "3"], {z.element(1): {"1": "2", "2": "3"}})
+        assert [t.payload for t in pa.check_elements()] == [0, -2, -1, 1, 2]

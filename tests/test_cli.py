@@ -128,7 +128,10 @@ class TestCommands:
     ] + [(E1_DOC, "rel", [{"x": "a", "y": "b", "value": text}])
          for text in ["1_000", " +3", "+3", "3 ", "1/-2", "\u0663"]]
       + [(dict(E1_DOC, maps=[{"t": text, "pairs": [["a", "b"], ["b", "a"]]}]), None, None)
-         for text in ["1_0", "1_1", " 1"]])
+         for text in ["1_0", "1_1", " 1"]]
+      + [(dict(E1_DOC, maps=[{"t": "1", "pairs": [[label, "b"]]}]), None, None)
+         for label in ["a\nb", "\r", "\x85", "\u2028"]]
+      + [(E1_DOC, "rel", [{"x": "a\nb", "y": "b", "value": "1"}])])
     def test_malformed_document_exit_3(self, tmp_path, capsys, doc, algebra, element):
         action = write(tmp_path, "action.json", doc)
         if algebra is None:
@@ -151,6 +154,19 @@ class TestCommands:
         code, out, _ = run(capsys, "validate", path)
         assert time.perf_counter() - start < 1.0
         assert code == 0 and json.loads(out)["ok"]
+
+    def test_huge_cyclic_group_validates_quickly(self, tmp_path, capsys):
+        # The violations sit at the same (t, s), named mod n.
+        expected = run(capsys, "validate",
+                       write(tmp_path, "n400.json", dict(E1_DOC, group={"kind": "cyclic",
+                                                                       "n": 400})))
+        path = write(tmp_path, "huge.json", dict(E1_DOC, group={"kind": "cyclic",
+                                                               "n": 10 ** 12}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "validate", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == expected[0] == 1
+        assert err == expected[2].replace("399", "999999999999").replace("398", "999999999998")
 
     def test_relation(self, tmp_path, capsys):
         code, out, _ = run(capsys, "relation", write(tmp_path, "e1.json", E1_DOC))

@@ -1,12 +1,16 @@
 import random
+import time
 
 import pytest
 
+from skewrel.actions import PartialAction, build_relation
 from skewrel.errors import PreconditionError
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle
 from skewrel.funalg import FunAlgElement, InducedAlgebraAction
-from skewrel.selftest import random_skew
+from skewrel.groups import GroupSpec
+from skewrel.relalg import gamma_inv
+from skewrel.selftest import random_rel, random_skew
 from skewrel.skew import SkewElement
 
 Q = FieldSpec(RATIONALS)
@@ -120,3 +124,53 @@ class TestValidation:
         alpha = e2_alpha()
         two = alpha.action.group.element(2)
         assert SkewElement.monomial(alpha, "3", two).validate()
+
+
+def cyclic_action(n, k):
+    """Z_n acting freely by translation on k orbits "i.j" of n points each."""
+    z = GroupSpec.cyclic(n)
+    maps = {z.element(t): {"%d.%d" % (i, j): "%d.%d" % (i, (j + t) % n)
+                           for i in range(k) for j in range(n)}
+            for t in range(1, n)}
+    return PartialAction(z, ["%d.%d" % (i, j) for i in range(k) for j in range(n)], maps)
+
+
+class TestSharedCarrier:
+    def test_every_coefficient_shares_the_action_positions(self, monkeypatch):
+        built = []
+        init = FunAlgElement.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(FunAlgElement, "__init__", record)
+        rng = random.Random(17)
+        for alpha in (e1_alpha(), e2_alpha(F5), e2_alpha()):
+            rel = build_relation(alpha.action)
+            for _ in range(20):
+                u, v = random_skew(rng, alpha), random_skew(rng, alpha)
+                u * v
+                for t, a in u.terms.items():
+                    alpha.apply(t.inverse(), a)
+                gamma_inv(alpha, random_rel(rng, alpha.field, rel))
+            assert built
+            assert all(f.carrier.position is alpha.action.carrier.position for f in built)
+            built.clear()
+
+    def test_single_term_product_cost_is_flat_in_the_carrier(self):
+        def best_of_7(k):
+            alpha = InducedAlgebraAction(Q, cyclic_action(8, k), validate=False)
+            z = alpha.action.group
+            u = SkewElement.monomial(alpha, "0.3", z.element(2))
+            v = SkewElement.monomial(alpha, "0.1", z.element(3))
+            assert u * v == SkewElement.monomial(alpha, "0.3", z.element(5))
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                for _ in range(20):
+                    u * v
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best_of_7(1000) < 5 * best_of_7(1)
