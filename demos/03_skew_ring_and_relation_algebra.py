@@ -38,8 +38,9 @@ for members in enumerate_invariant_subsets(rel1):
     ideal = ideal_from_invariant(rel1, members)
     print("  Z = %-12s dimension %d" % (members, ideal.dimension))
 
-# The brute-force span closure agrees with the classification: the ideal
-# generated by a single element is determined by its class closure.
+# The oracle computes the ideal A·f·A in two passes (all delta_p * f, then
+# each basis row times every delta_q) and agrees with the classification: the
+# ideal generated by a single element is determined by its class closure.
 f = RelElement.delta(Q, rel1, "a", "b")
 oracle = brute_force_ideal_span(Q, rel1, [f])
 closed = span_of_ideal(Q, ideal_from_invariant(rel1, ideal_closure_of(f)))

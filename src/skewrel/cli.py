@@ -26,6 +26,9 @@ EXIT_INVALID = 1
 EXIT_PROPERTY = 2
 EXIT_IO = 3
 
+# ideals lists 2^k ideals for k classes; above this many classes it refuses.
+MAX_IDEAL_CLASSES = 16
+
 # Every character str.splitlines() breaks at, escaped, so that a diagnostic
 # quoting a document's labels stays on one line.
 _ESCAPED_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
@@ -71,6 +74,9 @@ def cmd_relation(args) -> int:
 def cmd_ideals(args) -> int:
     field, action, rel = _free_relation(args.action)
     classes = equivalence_classes(rel)
+    if len(classes) > MAX_IDEAL_CLASSES:
+        raise PreconditionError("ideals lists at most %d classes (2^%d ideals); this action has %d"
+                                % (MAX_IDEAL_CLASSES, MAX_IDEAL_CLASSES, len(classes)))
     ideals = []
     for members in enumerate_invariant_subsets(rel):
         ideal = ideal_from_invariant(rel, members)

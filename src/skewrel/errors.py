@@ -23,11 +23,7 @@ class PreconditionError(SkewRelError):
 
 
 class NotFreeError(PreconditionError):
-    """Operation requires a free action; carries the fixing (t, x) if known."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """Operation requires a free action."""
 
 
 class DocumentError(SkewRelError):

@@ -90,9 +90,6 @@ class FunAlgElement(SparseSum):
     def zero(field: FieldSpec, carrier) -> "FunAlgElement":
         return FunAlgElement(field, carrier)
 
-    def value(self, x: str) -> Scalar:
-        return self.coeffs.get(x, self.field.zero())
-
     def support(self):
         return self.carrier.sort(self.coeffs)
 
@@ -118,22 +115,21 @@ class LinearMapOnBasis:
 
     def __init__(self, field: FieldSpec, source, target, columns):
         self.field = field
-        self.source = tuple(source)
-        self.target = tuple(target)
-        self.columns: dict[str, FunAlgElement] = {}
-        for x in self.source:
-            col = columns[x]
-            if col.carrier != self.target or col.field != field:
+        self.source = Carrier(source)
+        self.target = Carrier(target)
+        self.columns: dict[str, FunAlgElement] = {x: columns[x] for x in self.source}
+        for x, col in self.columns.items():
+            if col.context != (field, self.target):
                 raise PreconditionError("column for %s lives over the wrong carrier" % x)
-            self.columns[x] = col
 
     def apply(self, f: FunAlgElement) -> FunAlgElement:
-        if f.carrier != self.source or f.field != self.field:
+        if f.context != (self.field, self.source):
             raise PreconditionError("argument lives over the wrong carrier")
-        out = FunAlgElement.zero(self.field, self.target)
+        out: dict[str, Scalar] = {}
         for x, c in f.coeffs.items():
-            out = out + self.columns[x].scale(c)
-        return out
+            for y, d in self.columns[x].coeffs.items():
+                accumulate(out, y, c * d)
+        return FunAlgElement(self.field, self.target, out)
 
     def __eq__(self, other):
         return (isinstance(other, LinearMapOnBasis)
@@ -156,18 +152,17 @@ def classify_linear_functional(field: FieldSpec, carrier, values) -> HomClassifi
 
     The only nonzero homomorphisms to K are the evaluations eps_x; anything
     else fails multiplicativity on a pair of basis vectors or on a single
-    non-idempotent value. Witnesses are minimal in carrier order.
+    non-idempotent value. Points that ``values`` omits count as zero.
+    Witnesses are minimal in carrier order.
     """
-    carrier = tuple(carrier)
-    vals = {x: values[x] for x in carrier}
-    support = [x for x in carrier if not vals[x].is_zero()]
+    support = Carrier(carrier).sort(x for x, v in values.items() if not v.is_zero())[:2]
     if not support:
         return HomClassification("zero")
     if len(support) >= 2:
         return HomClassification("not-multiplicative",
                                  pair_witness=(support[0], support[1]))
     x = support[0]
-    if vals[x] * vals[x] != vals[x]:
+    if values[x] * values[x] != values[x]:
         return HomClassification("not-multiplicative", idem_witness=x)
     return HomClassification("evaluation", point=x)
 
@@ -178,14 +173,12 @@ def psi_from_bijection(field: FieldSpec, h: dict[str, str], source_carrier,
 
     On the basis: psi_h(delta_y) = delta_{h^-1(y)}.
     """
-    source_carrier = tuple(source_carrier)   # Y
-    target_carrier = tuple(target_carrier)   # X
+    source_carrier = Carrier(source_carrier)   # Y
+    target_carrier = Carrier(target_carrier)   # X
     if (set(h) != set(target_carrier) or set(h.values()) != set(source_carrier)
             or len(set(h.values())) != len(h)):
         raise PreconditionError("h is not a bijection between the carriers")
-    hinv = {y: x for x, y in h.items()}
-    columns = {y: FunAlgElement.delta(field, target_carrier, hinv[y])
-               for y in source_carrier}
+    columns = {y: FunAlgElement.delta(field, target_carrier, x) for x, y in h.items()}
     return LinearMapOnBasis(field, source_carrier, target_carrier, columns)
 
 
@@ -197,9 +190,12 @@ def bijection_from_isomorphism(gamma: LinearMapOnBasis) -> dict[str, str]:
     column by column before it is returned.
     """
     field = gamma.field
+    rows: dict[str, dict] = {x: {} for x in gamma.target}   # x -> {y: (eps_x o gamma)(delta_y)}
+    for y, col in gamma.columns.items():
+        for x, c in col.coeffs.items():
+            rows[x][y] = c
     h: dict[str, str] = {}
-    for x in gamma.target:
-        values = {y: gamma.columns[y].value(x) for y in gamma.source}
+    for x, values in rows.items():
         cls = classify_linear_functional(field, gamma.source, values)
         if cls.verdict != "evaluation":
             raise PreconditionError(
@@ -267,10 +263,9 @@ class InducedAlgebraAction:
     def as_linear_map(self, t: GroupElement) -> LinearMapOnBasis:
         """alpha_t as a basis map F0(X_{t^-1}) -> F0(X_t) over subcarriers."""
         source = self.action.sort_labels(self.action.subset(t.inverse()))
-        target = self.action.sort_labels(self.action.subset(t))
-        columns = {}
-        for x in source:
-            columns[x] = FunAlgElement.delta(self.field, target, self.action.apply(t, x))
+        target = Carrier(self.action.sort_labels(self.action.subset(t)))
+        columns = {x: FunAlgElement.delta(self.field, target, self.action.apply(t, x))
+                   for x in source}
         return LinearMapOnBasis(self.field, source, target, columns)
 
     def __eq__(self, other):

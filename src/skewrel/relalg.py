@@ -3,8 +3,9 @@
 F0(R) carries the convolution (f * g)(x, z) = sum_{y in [x]} f(x, y) g(y, z).
 For free actions it is isomorphic to the skew ring via Gamma, which sends
 f delta_t to the function supported on pairs (x, h_{t^-1}(x)) with value f(x).
-Ideals are exactly the F0((Z x Z) & R) for R-invariant subsets Z; a brute
-force span closure over exact row reduction serves as the independent oracle.
+Ideals are exactly the F0((Z x Z) & R) for R-invariant subsets Z. The
+independent oracle computes the ideal A·G·A generated by a set G in two
+passes of exact row reduction, using only convolution and the unit of A.
 
 Every operation here refuses non-free actions: with multiple witnesses the
 pair-indexed convolution would double-count, a case the construction does
@@ -195,30 +196,29 @@ class ExactRowSpace:
 
 
 def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> ExactRowSpace:
-    """Smallest subspace containing the generators and closed under left and
-    right convolution by every delta pair of R; the oracle for the ideal
-    classification. Iterates exact row reduction to a fixed point, and stops
-    as soon as the span is the whole coefficient space, which is closed
-    already; this needs no knowledge of the R-classes."""
+    """Coefficient space of the ideal A·G·A generated by G in A = F0(R); the
+    oracle for the ideal classification. A is unital (1 = sum of the
+    delta_(x,x)), so two passes of row reduction suffice: the delta_p * g,
+    then each basis row f times each delta_q. Either pass stops once the span
+    is the whole space. It uses convolution only, never the R-classes."""
     _require_free(rel)
-    column = {pair: i for i, pair in enumerate(rel.sorted_pairs())}
-    space = ExactRowSpace(field, len(column))
+    pairs = rel.sorted_pairs()
+    column = {pair: i for i, pair in enumerate(pairs)}
+    space = ExactRowSpace(field, len(pairs))
+    deltas = [RelElement.delta(field, rel, x, y) for (x, y) in pairs]
 
-    def grows(f: RelElement) -> bool:
-        return space.add({column[p]: c for p, c in f.coeffs.items()})
+    def fills(products) -> bool:
+        for f in products:
+            space.add({column[p]: c for p, c in f.coeffs.items()})
+            if space.dimension == space.width:
+                return True
+        return False
 
-    frontier = [g for g in generators if grows(g)]
-    deltas = [RelElement.delta(field, rel, x, y) for (x, y) in column]
-    while frontier and space.dimension < space.width:
-        new_frontier = []
-        for f in frontier:
-            for d in deltas:
-                for prod in (d * f, f * d):
-                    if not prod.is_zero() and grows(prod):
-                        if space.dimension == space.width:
-                            return space
-                        new_frontier.append(prod)
-        frontier = new_frontier
+    if not fills(d * g for g in generators for d in deltas):
+        # Copy the rows first: add() back-substitutes into them in place.
+        left = [RelElement(field, rel, {pairs[col]: c for col, c in row.items()})
+                for row in space.rows.values()]
+        fills(f * d for f in left for d in deltas)
     return space
 
 

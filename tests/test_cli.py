@@ -213,6 +213,17 @@ class TestCommands:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    def test_ideals_refuses_more_than_sixteen_classes(self, tmp_path, capsys):
+        # 17 fixed points are 17 classes, so 2^17 ideals: refused before enumerating.
+        doc = {"field": {"kind": "rationals"}, "group": {"kind": "cyclic", "n": 1},
+               "set": ["p%d" % i for i in range(17)], "maps": []}
+        path = write(tmp_path, "triv17.json", doc)
+        start = time.process_time()
+        code, out, err = run(capsys, "ideals", path)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "at most 16 classes" in err
+
     def test_mul_skew(self, tmp_path, capsys):
         action = write(tmp_path, "e1.json", E1_DOC)
         lhs = write(tmp_path, "lhs.json", [{"t": "1", "coeffs": {"a": "1"}}])

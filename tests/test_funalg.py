@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -129,6 +130,22 @@ class TestBijectionRecovery:
         gamma = LinearMapOnBasis(Q, XYZ, XYZ, columns)
         with pytest.raises(PreconditionError):
             bijection_from_isomorphism(gamma)
+
+    def test_identity_round_trip_scales_linearly(self):
+        def best_time(n):
+            carrier = ["p%d" % i for i in range(n)]
+            h = {x: x for x in carrier}
+            times = []
+            for _ in range(3):
+                start = time.process_time()
+                psi = psi_from_bijection(Q, h, carrier, carrier)
+                f = FunAlgElement(Q, psi.source, {x: Q.one() for x in carrier})
+                assert psi.apply(f) == f
+                assert bijection_from_isomorphism(psi) == h
+                times.append(time.process_time() - start)
+            return min(times)
+
+        assert best_time(2000) <= 25 * best_time(200)
 
     def test_round_trip_all_bijections(self):
         for perm in itertools.permutations(XYZ):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -42,6 +43,18 @@ def three_class_action():
     z2 = GroupSpec.cyclic(2)
     return PartialAction(z2, ["a", "b", "c", "d", "e"],
                          {z2.element(1): {"a": "b", "b": "a", "c": "d", "d": "c"}})
+
+
+def chain_action(m):
+    """Z acting on q0..q<m-1> by the partial shifts h_t(q<i>) = q<i+t>; one class, |R| = m^2."""
+    z = GroupSpec.integers()
+    return PartialAction(z, ["q%d" % i for i in range(m)],
+                         {z.element(t): {"q%d" % i: "q%d" % (i + t) for i in range(m - t)}
+                          for t in range(1, m)})
+
+
+def chain5_action():
+    return chain_action(5)
 
 
 def dense_gauss_jordan(field, width, vectors):
@@ -108,8 +121,8 @@ def oracle_cases(field, make_action):
     return rel, cases
 
 
-ORACLE_ACTIONS = [e1_action, e2_action, three_class_action]
-ORACLE_IDS = ["E1", "E2", "three-class"]
+ORACLE_ACTIONS = [e1_action, e2_action, three_class_action, chain5_action]
+ORACLE_IDS = ["E1", "E2", "three-class", "chain5"]
 
 
 class TestConvolution:
@@ -342,6 +355,15 @@ class TestBruteForceSpan:
             closed = span_of_ideal(field, ideal_from_invariant(
                 rel, ideal_closure_of(f)))
             assert oracle == closed
+
+    def test_dense_generator_on_chain16_is_fast(self):
+        _, rel, _ = fixture_bundle(Q, chain_action(16))
+        rng = random.Random(16)
+        g = RelElement(Q, rel, {p: random_scalar(rng, Q) for p in rel.sorted_pairs()})
+        start = time.process_time()
+        span = brute_force_ideal_span(Q, rel, [g])
+        assert time.process_time() - start < 1.0
+        assert span.dimension == span.width == 256
 
     def test_lattice_map_injective_and_monotone(self, e1):
         from skewrel.actions import enumerate_invariant_subsets
