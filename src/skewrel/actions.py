@@ -236,13 +236,18 @@ class Relation:
             for key, wits in pairs.items()
         }
         self._free = all(len(w) == 1 for w in self.pairs.values())
+        self._sorted_pairs = None
 
     def __contains__(self, pair):
         return pair in self.pairs
 
-    def sorted_pairs(self):
-        position = self.carrier.position
-        return sorted(self.pairs, key=lambda p: (position[p[0]], position[p[1]]))
+    def sorted_pairs(self) -> tuple:
+        """The pairs in carrier order of (x, y); sorted on the first call."""
+        if self._sorted_pairs is None:
+            position = self.carrier.position
+            self._sorted_pairs = tuple(
+                sorted(self.pairs, key=lambda p: (position[p[0]], position[p[1]])))
+        return self._sorted_pairs
 
     def witnesses(self, x: str, y: str):
         return self.pairs.get((x, y), ())

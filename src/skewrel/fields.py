@@ -1,8 +1,9 @@
 """Exact field scalars: arbitrary-precision rationals and prime fields GF(p).
 
-Every coefficient in the repository is a Scalar; there is no floating point
-anywhere. Rationals ride on fractions.Fraction (always in lowest terms with
-positive denominator), prime-field values are residues in [0, p).
+There is no floating point anywhere. Elements compute on raw values with
+native + - *: a fractions.Fraction (lowest terms, positive denominator) over Q,
+a residue in [0, p) over GF(p); FieldSpec reduces and inverts them. A Scalar,
+a raw value with its field, is what public constructors and documents use.
 """
 
 from __future__ import annotations
@@ -65,24 +66,46 @@ class FieldSpec:
         else:
             raise StructureError("unknown field kind %r" % (self.kind,))
 
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0 if self.kind == PRIME_FIELD else Fraction(0))
-
-    def one(self) -> "Scalar":
-        return Scalar(self, 1 if self.kind == PRIME_FIELD else Fraction(1))
-
-    def from_int(self, n: int) -> "Scalar":
-        if self.kind == PRIME_FIELD:
-            return Scalar(self, n % self.modulus)
-        return Scalar(self, Fraction(n))
-
-    def from_fraction(self, num: int, den: int) -> "Scalar":
+    def raw(self, num: int, den: int = 1):
+        """The raw value num/den."""
         if den == 0:
             raise PreconditionError("zero denominator")
-        if self.kind == PRIME_FIELD:
-            inv = pow(den % self.modulus, -1, self.modulus)
-            return Scalar(self, (num * inv) % self.modulus)
-        return Scalar(self, Fraction(num, den))
+        if self.modulus is None:
+            return Fraction(num, den)
+        if den % self.modulus == 0:
+            raise PreconditionError("denominator %d is zero mod %d" % (den, self.modulus))
+        return num * pow(den, -1, self.modulus) % self.modulus
+
+    def reduce(self, values: dict) -> dict:
+        """{key: raw value} with each value reduced into the field, zeros dropped."""
+        m = self.modulus
+        if m is None:
+            return {k: v for k, v in values.items() if v}
+        return {k: r for k, v in values.items() if (r := v % m)}
+
+    def inv(self, value):
+        """The inverse of a nonzero raw value."""
+        if self.modulus is None:
+            return Fraction(1) / value          # a Fraction even for an int value
+        return pow(value, -1, self.modulus)
+
+    def unwrap(self, k: "Scalar"):
+        """The raw value of a Scalar of this field."""
+        if k.field is not self and k.field != self:
+            raise PreconditionError("scalars from different fields")
+        return k.value
+
+    def zero(self) -> "Scalar":
+        return Scalar(self, self.raw(0))
+
+    def one(self) -> "Scalar":
+        return Scalar(self, self.raw(1))
+
+    def from_int(self, n: int) -> "Scalar":
+        return Scalar(self, self.raw(n))
+
+    def from_fraction(self, num: int, den: int) -> "Scalar":
+        return Scalar(self, self.raw(num, den))
 
     def parse(self, text: str) -> "Scalar":
         """Parse a literal "n" or "p/q" of ASCII digits, exactly -?[0-9]+(/[0-9]+)?."""
@@ -121,39 +144,26 @@ class Scalar:
     def __hash__(self):
         return hash((self.field, self.value))
 
-    def _check(self, other: "Scalar"):
-        if self.field is not other.field and self.field != other.field:
-            raise PreconditionError("scalars from different fields")
+    def _new(self, value) -> "Scalar":
+        m = self.field.modulus
+        return Scalar(self.field, value if m is None else value % m)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        v = self.value + other.value
-        if self.field.modulus is not None:
-            v %= self.field.modulus
-        return Scalar(self.field, v)
+        return self._new(self.value + self.field.unwrap(other))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        v = self.value * other.value
-        if self.field.modulus is not None:
-            v %= self.field.modulus
-        return Scalar(self.field, v)
+        return self._new(self.value * self.field.unwrap(other))
 
     def __neg__(self) -> "Scalar":
-        v = -self.value
-        if self.field.modulus is not None:
-            v %= self.field.modulus
-        return Scalar(self.field, v)
+        return self._new(-self.value)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise PreconditionError("zero has no inverse")
-        if self.field.modulus is not None:
-            return Scalar(self.field, pow(self.value, -1, self.field.modulus))
-        return Scalar(self.field, 1 / self.value)
+        return Scalar(self.field, self.field.inv(self.value))
 
     def is_zero(self) -> bool:
         return self.value == 0

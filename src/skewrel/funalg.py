@@ -27,21 +27,30 @@ class SparseSum:
 
     The context is the tuple of objects that fix the basis and the
     coefficients (a carrier and a field, a relation and a field, an algebra
-    action). Subclasses validate keys, then call ``_store``; they supply the
-    product, ``scale``, the term order and ``repr``. ``_like`` builds a new
-    element over the same context from the subclass constructor.
+    action). Coefficients are raw field values (see ``fields``), reduced and
+    nonzero, or nonzero F0(X) elements in the skew ring. The public
+    constructors check keys and unwrap Scalars; kernel results, whose keys
+    are known to be valid, go through ``_raw`` instead. Subclasses supply
+    the product, ``scale``, the term order and ``repr``.
     """
 
     coeffs: dict
     context: tuple
     mismatch: str          # the PreconditionError message for mixed contexts
 
-    def _store(self, context: tuple, coeffs):
+    @classmethod
+    def _raw(cls, context: tuple, coeffs: dict):
+        """The element with these coefficients, reduced, over a checked context."""
+        self = cls.__new__(cls)
         self.context = context
-        self.coeffs = {k: c for k, c in (coeffs or {}).items() if not c.is_zero()}
+        self.coeffs = self._reduce(coeffs)
+        return self
+
+    def _reduce(self, coeffs: dict) -> dict:
+        return self.context[0].reduce(coeffs)      # the field of a field-valued sum
 
     def _like(self, coeffs):
-        return type(self)(*self.context, coeffs)
+        return self._raw(self.context, coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -76,11 +85,14 @@ class FunAlgElement(SparseSum):
 
     mismatch = "elements live over different carriers or fields"
 
+    field = property(lambda self: self.context[0])
+    carrier = property(lambda self: self.context[1])
+
     def __init__(self, field: FieldSpec, carrier, coeffs=None):
-        self.field = field
-        self.carrier = Carrier(carrier)
-        self.carrier.require(coeffs or ())
-        self._store((field, self.carrier), coeffs)
+        carrier = Carrier(carrier)
+        carrier.require(coeffs or ())
+        self.context = (field, carrier)
+        self.coeffs = self._reduce({x: field.unwrap(c) for x, c in (coeffs or {}).items()})
 
     @staticmethod
     def delta(field: FieldSpec, carrier, x: str) -> "FunAlgElement":
@@ -95,13 +107,11 @@ class FunAlgElement(SparseSum):
 
     def __mul__(self, other: "FunAlgElement") -> "FunAlgElement":
         self._check(other)
-        out = {}
-        for x, c in self.coeffs.items():
-            if x in other.coeffs:
-                out[x] = c * other.coeffs[x]
-        return self._like(out)
+        b = other.coeffs
+        return self._like({x: c * b[x] for x, c in self.coeffs.items() if x in b})
 
     def scale(self, k: Scalar) -> "FunAlgElement":
+        k = self.field.unwrap(k)
         return self._like({x: k * c for x, c in self.coeffs.items()})
 
     def __repr__(self):
@@ -125,11 +135,11 @@ class LinearMapOnBasis:
     def apply(self, f: FunAlgElement) -> FunAlgElement:
         if f.context != (self.field, self.source):
             raise PreconditionError("argument lives over the wrong carrier")
-        out: dict[str, Scalar] = {}
+        out = {}
         for x, c in f.coeffs.items():
             for y, d in self.columns[x].coeffs.items():
                 accumulate(out, y, c * d)
-        return FunAlgElement(self.field, self.target, out)
+        return FunAlgElement._raw((self.field, self.target), out)
 
     def __eq__(self, other):
         return (isinstance(other, LinearMapOnBasis)
@@ -193,7 +203,7 @@ def bijection_from_isomorphism(gamma: LinearMapOnBasis) -> dict[str, str]:
     rows: dict[str, dict] = {x: {} for x in gamma.target}   # x -> {y: (eps_x o gamma)(delta_y)}
     for y, col in gamma.columns.items():
         for x, c in col.coeffs.items():
-            rows[x][y] = c
+            rows[x][y] = Scalar(field, c)
     h: dict[str, str] = {}
     for x, values in rows.items():
         cls = classify_linear_functional(field, gamma.source, values)
@@ -238,27 +248,38 @@ class InducedAlgebraAction:
         self.field = field
         self.action = action
         self.carrier = action.carrier
+        # h_t for e and each listed t, and the domain of h_{t^-1}, which is X_t
+        # in a valid action; every other t has empty maps and domains.
+        self._maps = {action.identity: {x: x for x in self.carrier}, **action.maps}
+        self._domains = {t.inverse(): h.keys() for t, h in self._maps.items()}
+        self._labels = None
+
+    def point_map(self, t: GroupElement) -> dict:
+        """h_t as a read-only dict on X_{t^-1}."""
+        return self._maps.get(t, {})
 
     def domain_support(self, t: GroupElement):
-        """Support set of D_t, i.e. X_t, as a read-only view: the carrier for
-        t = e, else the domain of h_{t^-1}, which is X_t in a valid action."""
-        if t == self.action.identity:
-            return self.carrier.position.keys()
-        return self.action.maps.get(t.inverse(), {}).keys()
+        """Support set of D_t, i.e. X_t, as a read-only view."""
+        return self._domains.get(t, {}.keys())
+
+    def domain_labels(self) -> dict:
+        """{t: X_t in carrier order} for e, then each listed t; built once."""
+        if self._labels is None:
+            action = self.action
+            self._labels = {t: tuple(action.sort_labels(action.subset(t)))
+                            for t in [action.identity] + action.listed()}
+        return self._labels
 
     def apply(self, t: GroupElement, f: FunAlgElement) -> FunAlgElement:
         """alpha_t(f) = f o h_{t^-1}; requires support(f) within X_{t^-1}."""
         if f.context != (self.field, self.carrier):
             raise PreconditionError("element lives over the wrong carrier or field")
-        dom = self.domain_support(t.inverse())
-        outside = [x for x in f.coeffs if x not in dom]
+        h_t = self.point_map(t)
+        outside = [x for x in f.coeffs if x not in h_t]
         if outside:
             raise PreconditionError(
                 "support escapes X_{t^-1} at %s" % ",".join(self.carrier.sort(outside)))
-        out = {}
-        for x, c in f.coeffs.items():
-            out[self.action.apply(t, x)] = c
-        return FunAlgElement(self.field, self.carrier, out)
+        return f._like({h_t[x]: c for x, c in f.coeffs.items()})
 
     def as_linear_map(self, t: GroupElement) -> LinearMapOnBasis:
         """alpha_t as a basis map F0(X_{t^-1}) -> F0(X_t) over subcarriers."""

@@ -27,18 +27,24 @@ def _require_free(rel: Relation):
         raise NotFreeError("operation on F0(R) requires a free action")
 
 
+def _require_pairs(rel: Relation, pairs):
+    for pair in pairs:
+        if pair not in rel.pairs:
+            raise PreconditionError("pair (%s, %s) is not in R" % pair)
+
+
 class RelElement(SparseSum):
     """Finite-support function R -> K, stored sparsely on pairs of R."""
 
     mismatch = "elements over different relations or fields"
 
+    field = property(lambda self: self.context[0])
+    relation = property(lambda self: self.context[1])
+
     def __init__(self, field: FieldSpec, relation: Relation, coeffs=None):
-        self.field = field
-        self.relation = relation
-        for pair in coeffs or ():
-            if pair not in relation:
-                raise PreconditionError("pair (%s, %s) is not in R" % pair)
-        self._store((field, relation), coeffs)
+        _require_pairs(relation, coeffs or ())
+        self.context = (field, relation)
+        self.coeffs = self._reduce({p: field.unwrap(c) for p, c in (coeffs or {}).items()})
 
     @staticmethod
     def delta(field: FieldSpec, relation: Relation, x: str, y: str) -> "RelElement":
@@ -53,6 +59,7 @@ class RelElement(SparseSum):
         return sorted(self.coeffs, key=lambda p: (position[p[0]], position[p[1]]))
 
     def scale(self, k: Scalar) -> "RelElement":
+        k = self.field.unwrap(k)
         return self._like({p: k * c for p, c in self.coeffs.items()})
 
     def __mul__(self, other: "RelElement") -> "RelElement":
@@ -62,10 +69,11 @@ class RelElement(SparseSum):
         by_first: dict[str, list] = {}
         for (y, z), d in other.coeffs.items():
             by_first.setdefault(y, []).append((z, d))
-        out: dict[tuple[str, str], Scalar] = {}
+        out: dict = {}
         for (x, y), c in self.coeffs.items():
             for z, d in by_first.get(y, ()):
-                accumulate(out, (x, z), c * d)
+                p = (x, z)
+                out[p] = out[p] + c * d if p in out else c * d
         return self._like(out)
 
     def __repr__(self):
@@ -80,13 +88,13 @@ def gamma(rel: Relation, u: SkewElement) -> RelElement:
     _require_free(rel)
     if not u.validate():
         raise PreconditionError("skew element has a term outside its D_t")
-    action = u.action.action
-    out: dict[tuple[str, str], Scalar] = {}
+    out: dict = {}
     for t, a in u.sorted_terms():
-        tinv = t.inverse()
+        h = u.action.point_map(t.inverse())
         for x, c in a.coeffs.items():
-            accumulate(out, (x, action.apply(tinv, x)), c)
-    return RelElement(u.action.field, rel, out)
+            accumulate(out, (x, h[x]), c)
+    _require_pairs(rel, out)
+    return RelElement._raw((u.action.field, rel), out)
 
 
 def gamma_inv(alpha: InducedAlgebraAction, f: RelElement) -> SkewElement:
@@ -97,8 +105,9 @@ def gamma_inv(alpha: InducedAlgebraAction, f: RelElement) -> SkewElement:
     coeffs: dict = {}          # t -> {x: f_t(x)}; x and t fix y, so no x repeats
     for (x, y), c in f.coeffs.items():
         coeffs.setdefault(witness(rel, x, y).inverse(), {})[x] = c
-    return SkewElement(alpha, {t: FunAlgElement(alpha.field, alpha.carrier, a)
-                               for t, a in coeffs.items()})
+    # The public SkewElement constructor checks each term's support in X_t.
+    context = (alpha.field, alpha.carrier)
+    return SkewElement(alpha, {t: FunAlgElement._raw(context, a) for t, a in coeffs.items()})
 
 
 class RelIdeal:
@@ -146,41 +155,42 @@ def count_ideals(rel: Relation) -> int:
     return 1 << len(equivalence_classes(rel))
 
 
-def _subtract_multiple(vec: dict, c: Scalar, row: dict):
-    """vec -= c·row in place, dropping the entries that cancel."""
+def _subtract_multiple(vec: dict, c, row: dict):
+    """vec -= c·row in place, unreduced."""
     for col, b in row.items():
         accumulate(vec, col, -(c * b))
-        if vec[col].is_zero():
-            del vec[col]
 
 
 class ExactRowSpace:
     """Row space over K in reduced echelon form; exact arithmetic throughout.
 
-    Vectors are sparse dicts {column: Scalar}. ``rows`` maps each pivot column
-    to its row, whose pivot entry is one and which every other row is zero at;
-    reduced echelon form is unique, so ``==`` compares spaces.
+    Vectors are sparse dicts {column: raw field value}. ``rows`` maps each
+    pivot column to its row, whose pivot entry is one and which every other
+    row is zero at; reduced echelon form is unique, so ``==`` compares spaces.
     """
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
-        self.rows: dict[int, dict[int, Scalar]] = {}
+        self.rows: dict[int, dict] = {}
 
     def add(self, vec: dict) -> bool:
-        """Insert a sparse vector; returns True if the space grew."""
-        vec = {col: c for col, c in vec.items() if not c.is_zero()}
+        """Insert a sparse vector of raw values; returns True if the space grew."""
+        field = self.field
+        vec = dict(vec)
         # A row is zero at every other pivot, so the touched pivots are known up front.
         for piv in [col for col in vec if col in self.rows]:
             _subtract_multiple(vec, vec[piv], self.rows[piv])
+        vec = field.reduce(vec)
         if not vec:
             return False
         piv = min(vec)
-        inv = vec[piv].inverse()
-        vec = {col: inv * c for col, c in vec.items()}
-        for row in self.rows.values():
+        inv = field.inv(vec[piv])
+        vec = field.reduce({col: inv * c for col, c in vec.items()})
+        for p, row in self.rows.items():
             if piv in row:
                 _subtract_multiple(row, row[piv], vec)
+                self.rows[p] = field.reduce(row)
         self.rows[piv] = vec
         return True
 
@@ -205,7 +215,8 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
     pairs = rel.sorted_pairs()
     column = {pair: i for i, pair in enumerate(pairs)}
     space = ExactRowSpace(field, len(pairs))
-    deltas = [RelElement.delta(field, rel, x, y) for (x, y) in pairs]
+    one, context = field.raw(1), (field, rel)
+    deltas = [RelElement._raw(context, {pair: one}) for pair in pairs]
 
     def fills(products) -> bool:
         for f in products:
@@ -215,8 +226,8 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
         return False
 
     if not fills(d * g for g in generators for d in deltas):
-        # Copy the rows first: add() back-substitutes into them in place.
-        left = [RelElement(field, rel, {pairs[col]: c for col, c in row.items()})
+        # Copy the rows first: add() back-substitutes into them.
+        left = [RelElement._raw(context, {pairs[col]: c for col, c in row.items()})
                 for row in space.rows.values()]
         fills(f * d for f in left for d in deltas)
     return space
@@ -226,6 +237,7 @@ def span_of_ideal(field: FieldSpec, ideal: RelIdeal) -> ExactRowSpace:
     """Coefficient space of F0((Z x Z) & R), for comparison with the oracle."""
     column = {pair: i for i, pair in enumerate(ideal.relation.sorted_pairs())}
     space = ExactRowSpace(field, len(column))
+    one = field.raw(1)
     for pair in ideal.basis:
-        space.add({column[pair]: field.one()})
+        space.add({column[pair]: one})
     return space

@@ -24,8 +24,9 @@ class SkewElement(SparseSum):
 
     mismatch = "elements over different actions"
 
+    action = property(lambda self: self.context[0])
+
     def __init__(self, action: InducedAlgebraAction, terms=None, check_support=True):
-        self.action = action
         context = (action.field, action.carrier)
         for t, a in (terms or {}).items():
             if a.context != context:
@@ -36,14 +37,15 @@ class SkewElement(SparseSum):
                 if outside:
                     raise PreconditionError("a_%s has support outside X_%s at %s"
                                             % (t, t, ",".join(action.carrier.sort(outside))))
-        self._store((action,), terms)
+        self.context = (action,)
+        self.coeffs = self._reduce(terms or {})
+
+    def _reduce(self, terms: dict) -> dict:
+        return {t: a for t, a in terms.items() if a.coeffs}
 
     @property
     def terms(self) -> dict[GroupElement, FunAlgElement]:
         return self.coeffs
-
-    def _like(self, coeffs) -> "SkewElement":
-        return SkewElement(self.action, coeffs, check_support=False)
 
     @staticmethod
     def zero(action: InducedAlgebraAction) -> "SkewElement":

@@ -26,6 +26,8 @@ E2_DOC = {
     ],
 }
 
+E1_GF5_DOC = dict(E1_DOC, field={"kind": "prime-field", "modulus": 5})
+
 Z2_TABLE = {"kind": "table", "elements": ["e", "g"], "identity": "e",
             "table": [["e", "g"], ["g", "e"]]}
 Z2_DOC = dict(E1_DOC, group=Z2_TABLE, maps=[{"t": "g", "pairs": [["a", "b"], ["b", "a"]]}])
@@ -131,7 +133,10 @@ class TestCommands:
          for text in ["1_0", "1_1", " 1"]]
       + [(dict(E1_DOC, maps=[{"t": "1", "pairs": [[label, "b"]]}]), None, None)
          for label in ["a\nb", "\r", "\x85", "\u2028"]]
-      + [(E1_DOC, "rel", [{"x": "a\nb", "y": "b", "value": "1"}])])
+      + [(E1_DOC, "rel", [{"x": "a\nb", "y": "b", "value": "1"}])]
+      # A denominator that is a multiple of the modulus is zero in GF(p).
+      + [(E1_GF5_DOC, "skew", [{"t": "1", "coeffs": {"a": "1/5"}}]),
+         (E1_GF5_DOC, "rel", [{"x": "a", "y": "b", "value": "3/10"}])])
     def test_malformed_document_exit_3(self, tmp_path, capsys, doc, algebra, element):
         action = write(tmp_path, "action.json", doc)
         if algebra is None:

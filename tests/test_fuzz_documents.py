@@ -35,12 +35,15 @@ E2_DOC = {
     ],
 }
 
+# E1 over GF(5), where a denominator that is a multiple of 5 is zero.
+E1_GF5_DOC = dict(E1_DOC, field={"kind": "prime-field", "modulus": 5})
+
 REL_ELEMENT = [{"x": "a", "y": "b", "value": "1/2"}, {"x": "c", "y": "c", "value": "3"}]
 
 # Words the documents use, so that a mutation often stays close to valid, and
 # labels with line breaks, which a one-line diagnostic must not pass through.
-WORDS = ["a", "b", "c", "1", "2", "3", "0", "-1", "1/2", "x", "t", "n", "pairs",
-         "kind", "cyclic", "integers", "table", "rationals", "prime-field", "modulus",
+WORDS = ["a", "b", "c", "1", "2", "3", "0", "-1", "1/2", "1/5", "2/10", "5", "x", "t", "n",
+         "pairs", "kind", "cyclic", "integers", "table", "rationals", "prime-field", "modulus",
          "a\nb", "\r", "\x85", "\u2028"]
 TEXT = st.sampled_from(WORDS) | st.text(max_size=3)
 JSON = st.recursive(
@@ -101,7 +104,7 @@ def write(directory, name, doc):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([E1_DOC, E2_DOC]).flatmap(mutants))
+@given(st.sampled_from([E1_DOC, E2_DOC, E1_GF5_DOC]).flatmap(mutants))
 def test_mutated_action_document(doc):
     with tempfile.TemporaryDirectory() as directory:
         action = write(directory, "action.json", doc)
@@ -115,8 +118,9 @@ def test_mutated_action_document(doc):
 @given(mutants(REL_ELEMENT))
 def test_mutated_rel_element(element):
     with tempfile.TemporaryDirectory() as directory:
-        action = write(directory, "action.json", E1_DOC)
         lhs = write(directory, "lhs.json", element)
         rhs = write(directory, "rhs.json", REL_ELEMENT)
-        check(["mul", "--algebra", "rel", action, lhs, rhs])
-        check(["mul", "--algebra", "rel", action, rhs, lhs])
+        for doc in (E1_DOC, E1_GF5_DOC):
+            action = write(directory, "action.json", doc)
+            check(["mul", "--algebra", "rel", action, lhs, rhs])
+            check(["mul", "--algebra", "rel", action, rhs, lhs])

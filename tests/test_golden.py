@@ -1,8 +1,9 @@
 """Byte-exact CLI output on the demo documents.
 
 Each expected file under tests/data/golden/ is the verbatim stdout of
-``skewrel <argv>`` run from the repository root; regenerate one by running
-that command and redirecting its output to the file.
+``skewrel <argv>`` run from the repository root, which exits with the code
+listed next to the argv; regenerate one by running that command and
+redirecting its output to the file.
 """
 
 import os
@@ -14,6 +15,7 @@ from skewrel.cli import main
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "demos", "data")
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
+E1_GF7 = os.path.join(ROOT, "tests", "data", "e1-gf7.json")
 
 
 def _demo(name):
@@ -21,25 +23,34 @@ def _demo(name):
 
 
 CASES = {
-    "validate-e1": ["validate", _demo("e1.json")],
-    "validate-e2": ["validate", _demo("e2.json")],
-    "relation-e1": ["relation", _demo("e1.json")],
-    "relation-e2": ["relation", _demo("e2.json")],
-    "ideals-e1": ["ideals", _demo("e1.json")],
-    "ideals-e2": ["ideals", _demo("e2.json")],
-    "mul-skew-e1": ["mul", "--algebra", "skew", _demo("e1.json"),
-                    _demo("skew_lhs.json"), _demo("skew_rhs.json")],
-    "mul-rel-e1": ["mul", "--algebra", "rel", _demo("e1.json"),
-                   _demo("rel_elem.json"), _demo("rel_elem.json")],
-    "gamma-fwd-e1": ["gamma", "--dir", "fwd", _demo("e1.json"), _demo("skew_lhs.json")],
-    "gamma-inv-e1": ["gamma", "--dir", "inv", _demo("e1.json"), _demo("rel_elem.json")],
-    "selftest-42-25": ["selftest", "--seed", "42", "--trials", "25"],
+    "validate-e1": (["validate", _demo("e1.json")], 0),
+    "validate-e2": (["validate", _demo("e2.json")], 0),
+    "relation-e1": (["relation", _demo("e1.json")], 0),
+    "relation-e2": (["relation", _demo("e2.json")], 0),
+    "ideals-e1": (["ideals", _demo("e1.json")], 0),
+    "ideals-e2": (["ideals", _demo("e2.json")], 0),
+    "mul-skew-e1": (["mul", "--algebra", "skew", _demo("e1.json"),
+                     _demo("skew_lhs.json"), _demo("skew_rhs.json")], 0),
+    "mul-rel-e1": (["mul", "--algebra", "rel", _demo("e1.json"),
+                    _demo("rel_elem.json"), _demo("rel_elem.json")], 0),
+    "gamma-fwd-e1": (["gamma", "--dir", "fwd", _demo("e1.json"), _demo("skew_lhs.json")], 0),
+    "gamma-inv-e1": (["gamma", "--dir", "inv", _demo("e1.json"), _demo("rel_elem.json")], 0),
+    "selftest-42-25": (["selftest", "--seed", "42", "--trials", "25"], 0),
+    # The failure texts of a broken product: the report formats them lazily.
+    "selftest-42-25-corrupt": (["selftest", "--seed", "42", "--trials", "25",
+                                "--corrupt-skew-mul"], 2),
+    # A document's Q field equals the fixtures' field but is another object.
+    "selftest-e2-7-100": (["selftest", "--action", _demo("e2.json"), "--seed", "7",
+                           "--trials", "100"], 0),
+    "selftest-e1-gf7-7-100": (["selftest", "--action", E1_GF7, "--seed", "7",
+                               "--trials", "100"], 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, capsys):
-    assert main(CASES[name]) == 0
+    argv, code = CASES[name]
+    assert main(argv) == code
     with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as handle:
         expected = handle.read()
     assert capsys.readouterr().out == expected

@@ -7,7 +7,7 @@ import pytest
 from skewrel import actions, relalg
 from skewrel.actions import PartialAction, build_relation
 from skewrel.errors import NotFreeError, PreconditionError
-from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
+from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS, Scalar
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle
 from skewrel.funalg import InducedAlgebraAction
 from skewrel.groups import GroupSpec
@@ -55,6 +55,11 @@ def chain_action(m):
 
 def chain5_action():
     return chain_action(5)
+
+
+def as_scalars(field, raw):
+    """{key: Scalar} from {key: raw value}: the Scalar boundary of a kernel result."""
+    return {key: Scalar(field, c) for key, c in raw.items()}
 
 
 def dense_gauss_jordan(field, width, vectors):
@@ -171,14 +176,15 @@ class TestConvolution:
         rng = random.Random(34)
         for _ in range(60):
             f, g = random_rel(rng, field, rel), random_rel(rng, field, rel)
+            fs, gs = as_scalars(field, f.coeffs), as_scalars(field, g.coeffs)
             expected = {}
             for x, z in rel.pairs:
                 total = zero
                 for y in rel.carrier:
-                    total = total + f.coeffs.get((x, y), zero) * g.coeffs.get((y, z), zero)
+                    total = total + fs.get((x, y), zero) * gs.get((y, z), zero)
                 if not total.is_zero():
                     expected[(x, z)] = total
-            assert (f * g).coeffs == expected
+            assert as_scalars(field, (f * g).coeffs) == expected
 
     def test_non_free_rejected(self):
         rel = non_free_relation()
@@ -318,11 +324,13 @@ class TestExactRowSpace:
                             for col in range(width) if rng.random() < 0.35}
                            for _ in range(rng.randint(1, 2 * width))]
                 space = ExactRowSpace(field, width)
-                grew = [space.add(vec) for vec in vectors]
+                grew = [space.add({col: c.value for col, c in vec.items()})
+                        for vec in vectors]
                 ref_grew, ref_rows = dense_gauss_jordan(field, width, vectors)
                 assert grew == ref_grew
                 assert space.dimension == len(ref_rows)
-                assert space.rows == ref_rows
+                assert {piv: as_scalars(field, row)
+                        for piv, row in space.rows.items()} == ref_rows
 
 
 class TestBruteForceSpan:
