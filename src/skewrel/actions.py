@@ -13,7 +13,9 @@ h_{t^-1} is synthesized when missing. Unlisted group elements have empty X_t.
 
 From a validated action we build the equivalence relation R of pairs
 (x, h_t(x)), each pair carrying its group witnesses. For free actions the
-witness is unique, which is what the relation-algebra layer relies on.
+witness is unique, which is what the relation-algebra layer relies on. The
+R-classes are computed once per relation and read by every function here;
+checking that R is an equivalence relation takes O(|R|).
 """
 
 from __future__ import annotations
@@ -237,16 +239,35 @@ class Relation:
         }
         self._free = all(len(w) == 1 for w in self.pairs.values())
         self._sorted_pairs = None
+        # Union-find over the pairs: the classes, ordered by least member with
+        # members in carrier order, and each point's class index. They are the
+        # components of the pairs, so the R-classes when R is an equivalence.
+        parent = {x: x for x in self.carrier}
+
+        def root(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for x, y in self.pairs:
+            if x not in parent or y not in parent:
+                raise StructureError("pair (%s, %s) leaves the carrier" % (x, y))
+            parent[root(x)] = root(y)
+        by_root: dict[str, list[str]] = {}
+        for x in self.carrier:
+            by_root.setdefault(root(x), []).append(x)
+        self.classes = tuple(tuple(block) for block in by_root.values())
+        self.class_of = {x: i for i, block in enumerate(self.classes) for x in block}
 
     def __contains__(self, pair):
         return pair in self.pairs
 
     def sorted_pairs(self) -> tuple:
-        """The pairs in carrier order of (x, y); sorted on the first call."""
+        """The pairs in carrier order of (x, y), read off the classes on the first call."""
         if self._sorted_pairs is None:
-            position = self.carrier.position
-            self._sorted_pairs = tuple(
-                sorted(self.pairs, key=lambda p: (position[p[0]], position[p[1]])))
+            self._sorted_pairs = tuple((x, y) for x in self.carrier
+                                       for y in self.classes[self.class_of[x]]
+                                       if (x, y) in self.pairs)
         return self._sorted_pairs
 
     def witnesses(self, x: str, y: str):
@@ -276,69 +297,50 @@ def build_relation(pa: PartialAction) -> Relation:
 
 
 def verify_equivalence(rel: Relation) -> bool:
-    """Reflexive, symmetric and transitive on the (x, y) projection.
+    """Reflexive, symmetric and transitive on the (x, y) projection, in O(|R|).
 
-    When the underlying action is free this also re-checks that the witness
-    of a composite pair is the product of the witnesses, i.e. the argument
-    that transitivity follows from axiom (3).
+    Every pair lies inside one of ``rel.classes``, so R is the union of the
+    C x C exactly when |R| = sum |C|^2. For a free action it also checks each
+    witness against the least point r of its class, w(x, y) = w(r, y) w(r, x)^-1:
+    the same as w(x, z) = w(y, z) w(x, y) over all composable pairs, the argument
+    that transitivity follows from axiom (3) (put x = r there to get it back).
     """
-    for x in rel.carrier:
-        if (x, x) not in rel.pairs:
-            return False
-    for (x, y) in rel.pairs:
-        if (y, x) not in rel.pairs:
-            return False
-    check_witnesses = rel.action is not None and rel.is_free()
-    for (x, y) in rel.pairs:
-        for (y2, z) in rel.pairs:
-            if y2 != y:
-                continue
-            if (x, z) not in rel.pairs:
-                return False
-            if check_witnesses:
-                (t,) = rel.witnesses(x, y)
-                (s,) = rel.witnesses(y, z)
-                if rel.witnesses(x, z) != (s * t,):
-                    return False
-    return True
+    if len(rel.pairs) != sum(len(block) ** 2 for block in rel.classes):
+        return False
+    if rel.action is None or not rel.is_free():
+        return True
+    from_root = {x: rel.pairs[block[0], x][0] for block in rel.classes for x in block}
+    to_root = {x: t.inverse() for x, t in from_root.items()}
+    return all(w == from_root[y] * to_root[x] for (x, y), (w,) in rel.pairs.items())
 
 
 def equivalence_classes(rel: Relation) -> list[list[str]]:
     """R-classes as lists in carrier order, ordered by least member."""
     if not verify_equivalence(rel):
         raise PreconditionError("relation is not an equivalence relation")
-    seen: set[str] = set()
-    classes = []
-    for x in rel.carrier:
-        if x in seen:
-            continue
-        block = [y for y in rel.carrier if (x, y) in rel.pairs]
-        seen.update(block)
-        classes.append(block)
-    return classes
+    return [list(block) for block in rel.classes]
 
 
 def invariant_closure(rel: Relation, subset) -> list[str]:
     """Least R-invariant superset: union of classes meeting the subset."""
     subset = set(subset)
     rel.carrier.require(subset)
-    members = {y for x in subset for y in rel.carrier if (x, y) in rel.pairs}
-    return [x for x in rel.carrier if x in members]
+    touched = {rel.class_of[x] for x in subset}
+    return rel.carrier.sort(y for i in touched for y in rel.classes[i])
 
 
 def enumerate_invariant_subsets(rel: Relation) -> list[list[str]]:
     """All 2^k unions of classes, in subset order on class index sets."""
-    classes = equivalence_classes(rel)
-    out = []
-    for mask in range(1 << len(classes)):
-        members = {x for i, block in enumerate(classes) if mask >> i & 1 for x in block}
-        out.append([x for x in rel.carrier if x in members])
-    return out
+    k = len(equivalence_classes(rel))
+    class_of = rel.class_of
+    return [[x for x in rel.carrier if mask >> class_of[x] & 1] for mask in range(1 << k)]
 
 
 def is_invariant(rel: Relation, subset) -> bool:
+    """Every class meeting the subset lies inside it; other labels are ignored."""
     subset = set(subset)
-    return all(y in subset for (z, y) in rel.pairs if z in subset)
+    touched = {rel.class_of[x] for x in subset if x in rel.class_of}
+    return all(y in subset for i in touched for y in rel.classes[i])
 
 
 def witness(rel: Relation, x: str, y: str) -> GroupElement:

@@ -223,7 +223,7 @@ def load_json(path):
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # ValueError: bad JSON, UTF-8 or int size
         raise DocumentError("cannot read %s: %s" % (path, exc)) from exc
 
 

@@ -118,9 +118,10 @@ class RelIdeal:
         if not is_invariant(relation, members):
             raise PreconditionError("subset is not R-invariant")
         self.relation = relation
-        self.invariant = [x for x in relation.carrier if x in members]
-        self.basis = [p for p in relation.sorted_pairs()
-                      if p[0] in members and p[1] in members]
+        self.invariant = relation.carrier.sort(x for x in members if x in relation.class_of)
+        # Z is a union of classes, so this is sorted_pairs() restricted to Z x Z.
+        classes, class_of = relation.classes, relation.class_of
+        self.basis = [(x, y) for x in self.invariant for y in classes[class_of[x]]]
 
     @property
     def dimension(self) -> int:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .actions import (PartialAction, build_relation, check_free, equivalence_classes,
+from .actions import (PartialAction, check_free, equivalence_classes,
                       validate_partial_action, verify_equivalence)
 from .errors import PreconditionError
 from .fields import FieldSpec, Scalar
@@ -130,22 +130,21 @@ def suite_freeness() -> SuiteResult:
 
 
 def _bundles(custom=None):
+    """(name, field, action, relation, induced algebra action), built once."""
     if custom is not None:
-        field, action = custom
-        return [("custom", field, action)]
-    out = []
-    for fname, fld in [("Q", RATIONALS_FIELD), ("GF5", GF5)]:
-        for aname, action in [("E1", e1_action()), ("E2", e2_action())]:
-            out.append(("%s/%s" % (aname, fname), fld, action))
-    return out
+        named = [("custom", *custom)]
+    else:
+        named = [("%s/%s" % (aname, fname), fld, action)
+                 for fname, fld in [("Q", RATIONALS_FIELD), ("GF5", GF5)]
+                 for aname, action in [("E1", e1_action()), ("E2", e2_action())]]
+    return [(name, fld) + fixture_bundle(fld, action) for name, fld, action in named]
 
 
 def suite_gamma(rng, trials, bundles, skew_mul=operator.mul) -> SuiteResult:
     suite = SuiteResult("gamma-isomorphism")
-    for name, fld, action in bundles:
-        if not check_free(action).free:
+    for name, fld, _action, rel, alpha in bundles:
+        if not rel.is_free():
             continue
-        _, rel, alpha = fixture_bundle(fld, action)
         for i in range(trials):
             u = random_skew(rng, alpha)
             v = random_skew(rng, alpha)
@@ -164,9 +163,8 @@ def suite_gamma(rng, trials, bundles, skew_mul=operator.mul) -> SuiteResult:
 
 def suite_associativity(rng, trials, bundles, skew_mul=operator.mul) -> SuiteResult:
     suite = SuiteResult("associativity")
-    for name, fld, action in bundles:
-        _, rel, alpha = fixture_bundle(fld, action)
-        free = check_free(action).free
+    for name, fld, _action, rel, alpha in bundles:
+        free = rel.is_free()
         for i in range(trials):
             u, v, w = (random_skew(rng, alpha) for _ in range(3))
             suite.check(skew_mul(skew_mul(u, v), w) == skew_mul(u, skew_mul(v, w)),
@@ -182,10 +180,9 @@ def suite_associativity(rng, trials, bundles, skew_mul=operator.mul) -> SuiteRes
 
 def suite_ideals(rng, trials, bundles) -> SuiteResult:
     suite = SuiteResult("ideal-classification")
-    for name, fld, action in bundles:
-        if not check_free(action).free:
+    for name, fld, _action, rel, _alpha in bundles:
+        if not rel.is_free():
             continue
-        _, rel, _alpha = fixture_bundle(fld, action)
         expected = 1 << len(equivalence_classes(rel))
         suite.check(count_ideals(rel) == expected, "%s: ideal count mismatch", name)
         for i in range(trials):
@@ -201,8 +198,7 @@ def suite_ideals(rng, trials, bundles) -> SuiteResult:
 
 def suite_round_trips(bundles) -> SuiteResult:
     suite = SuiteResult("round-trips")
-    for name, fld, action in bundles:
-        alpha = InducedAlgebraAction(fld, action, validate=False)
+    for name, fld, action, _rel, alpha in bundles:
         family = {t: (action.sort_labels(action.subset(t)), alpha.as_linear_map(t))
                   for t in action.listed()}
         try:
@@ -221,7 +217,7 @@ def suite_round_trips(bundles) -> SuiteResult:
 
 def suite_homomorphisms(rng, bundles) -> SuiteResult:
     suite = SuiteResult("homomorphism-classification")
-    for name, fld, action in bundles:
+    for name, fld, action, _rel, _alpha in bundles:
         carrier = action.carrier
         for x in carrier:
             values = {y: (fld.one() if y == x else fld.zero()) for y in carrier}
@@ -253,8 +249,7 @@ def suite_homomorphisms(rng, bundles) -> SuiteResult:
 
 def suite_relation(bundles) -> SuiteResult:
     suite = SuiteResult("relation-structure")
-    for name, _fld, action in bundles:
-        rel = build_relation(action)
+    for name, _fld, action, rel, _alpha in bundles:
         suite.check(verify_equivalence(rel), "%s: built relation is not an equivalence", name)
         for t in action.listed():
             inv = {y: x for x, y in action.maps[t].items()}

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from skewrel.fixtures import e1_action, e2_action, trivial_action
 from skewrel.groups import GroupElement, GroupSpec
 
 from test_groups import s3_table_from_permutations
+from test_skew import cyclic_action
 
 
 def e2_without_h2():
@@ -119,6 +121,11 @@ class TestRelation:
                                        ("b", "b"): [GroupSpec.cyclic(1).identity()],
                                        ("a", "b"): [GroupSpec.cyclic(1).identity()]})
         assert not verify_equivalence(broken)
+
+    def test_pairs_must_stay_in_the_carrier(self):
+        e = GroupSpec.cyclic(1).identity()
+        with pytest.raises(StructureError, match=r"^pair \(z, z\) leaves the carrier$"):
+            Relation(("a",), {("a", "a"): [e], ("z", "z"): [e]})
 
     def test_classes(self):
         assert equivalence_classes(build_relation(e1_action())) == [["a", "b"], ["c"]]
@@ -260,3 +267,133 @@ class TestCheckElements:
         z = GroupSpec.integers()
         pa = PartialAction(z, ["1", "2", "3"], {z.element(1): {"1": "2", "2": "3"}})
         assert [t.payload for t in pa.check_elements()] == [0, -2, -1, 1, 2]
+
+
+def triple_scan_equivalence(rel):
+    """Reference: reflexivity and symmetry pair by pair, then transitivity and,
+    for a free relation with an action, w(x, z) = w(y, z) w(x, y) over every
+    composable (x, y), (y, z): O(|R|^2)."""
+    for x in rel.carrier:
+        if (x, x) not in rel.pairs:
+            return False
+    for (x, y) in rel.pairs:
+        if (y, x) not in rel.pairs:
+            return False
+    check_witnesses = rel.action is not None and rel.is_free()
+    for (x, y) in rel.pairs:
+        for (y2, z) in rel.pairs:
+            if y2 != y:
+                continue
+            if (x, z) not in rel.pairs:
+                return False
+            if check_witnesses:
+                (t,) = rel.witnesses(x, y)
+                (s,) = rel.witnesses(y, z)
+                if rel.witnesses(x, z) != (s * t,):
+                    return False
+    return True
+
+
+def random_valid_action(rng, group):
+    """A restriction of a global action to random points, hence valid.
+
+    A finite group acts on one to three copies of its left cosets of <h> for
+    a random h, freely when h = e; the integers act on copies of themselves
+    by translation.
+    """
+    if group.kind == "integers":
+        elements = [group.element(k) for k in range(-8, 9)]
+        cosets = [frozenset([group.element(k)]) for k in range(-4, 5)]
+    else:
+        elements = group.elements()
+        h = rng.choice(elements)
+        subgroup, power = {h.spec.identity()}, h
+        while not power.is_identity():
+            subgroup.add(power)
+            power = power * h
+        cosets = list({frozenset(g * k for k in subgroup) for g in elements})
+    label = {(c, coset): "%d/%s" % (c, ",".join(sorted(map(str, coset))))
+             for c in range(rng.randint(1, 3)) for coset in cosets}
+    points = rng.sample(sorted(label, key=label.get), rng.randint(0, min(len(label), 12)))
+    kept = set(points)
+    maps = {}
+    for t in elements:
+        if not t.is_identity():
+            moved = ((c, frozenset(t * g for g in coset)) for c, coset in points)
+            maps[t] = {label[p]: label[q] for p, q in zip(points, moved) if q in kept}
+    return PartialAction(group, [label[p] for p in points], maps)
+
+
+def broken_relations(rng, rel):
+    """Copies of rel with one defect each: a dropped pair whose mirror stays, a
+    pair dropped with its mirror (a composite goes missing), a pair and its mirror
+    added across two classes, and two pairs' witnesses swapped."""
+    pairs = dict(rel.pairs)
+    off = [p for p in pairs if p[0] != p[1]]
+    out = []
+    if off:
+        x, y = rng.choice(off)
+        out.append({p: w for p, w in pairs.items() if p != (x, y)})
+        out.append({p: w for p, w in pairs.items() if p not in ((x, y), (y, x))})
+    if len(rel.classes) > 1:
+        b1, b2 = rng.sample(rel.classes, 2)
+        x, y = rng.choice(b1), rng.choice(b2)
+        t = rng.choice(list(itertools.chain(*pairs.values())))
+        out.append(pairs | {(x, y): (t,), (y, x): (t.inverse(),)})
+    if len(pairs) > 1:
+        p, q = rng.sample(sorted(pairs), 2)
+        out.append(pairs | {p: pairs[q], q: pairs[p]})
+    return [Relation(rel.carrier, broken, action=rel.action) for broken in out]
+
+
+class TestClassIndex:
+    def test_verify_equivalence_matches_the_triple_scan(self):
+        rng = random.Random(8)
+        names, table = s3_table_from_permutations()
+        groups = [GroupSpec.cyclic(n) for n in range(1, 7)]
+        groups += [GroupSpec.integers(), GroupSpec.from_table(names, "e", table)]
+        seen = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+        for trial in range(400):
+            pa = random_valid_action(rng, groups[trial % len(groups)])
+            assert validate_partial_action(pa).ok
+            rel = build_relation(pa)
+            assert verify_equivalence(rel) and triple_scan_equivalence(rel)
+            seen[True, rel.is_free()] += 1
+            for broken in broken_relations(rng, rel):
+                got = verify_equivalence(broken)
+                assert got == triple_scan_equivalence(broken)
+                seen[got, broken.is_free()] += 1
+        assert min(seen.values()) > 50      # every verdict, free and not, was compared
+
+    def test_readers_match_the_pair_scans(self):
+        rng = random.Random(9)
+        names, table = s3_table_from_permutations()
+        groups = [GroupSpec.cyclic(4), GroupSpec.integers(),
+                  GroupSpec.from_table(names, "e", table)]
+        for trial in range(150):
+            rel = build_relation(random_valid_action(rng, groups[trial % len(groups)]))
+            carrier = list(rel.carrier)
+            related = {x: [y for y in carrier if (x, y) in rel.pairs] for x in carrier}
+            expected = []
+            for x in carrier:
+                if not any(x in block for block in expected):
+                    expected.append(related[x])
+            assert equivalence_classes(rel) == expected
+            subset = set(rng.sample(carrier, rng.randint(0, len(carrier))))
+            closure = {y for x in subset for y in related[x]}
+            assert invariant_closure(rel, subset) == [x for x in carrier if x in closure]
+            assert is_invariant(rel, subset | {"not a point"}) == (closure == subset)
+
+    def test_verify_equivalence_is_linear(self):
+        def best_of_3(rel):
+            times = []
+            for _ in range(3):
+                start = time.process_time()
+                assert verify_equivalence(rel)
+                times.append(time.process_time() - start)
+            return min(times)
+
+        small = build_relation(cyclic_action(8, 10))        # |R| = 640
+        large = build_relation(cyclic_action(8, 200))       # |R| = 12 800
+        assert len(large.pairs) == 20 * len(small.pairs) == 12800
+        assert best_of_3(large) <= 50 * best_of_3(small)

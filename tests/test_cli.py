@@ -34,8 +34,9 @@ Z2_DOC = dict(E1_DOC, group=Z2_TABLE, maps=[{"t": "g", "pairs": [["a", "b"], ["b
 
 
 def write(tmp_path, name, doc):
+    """Write doc as JSON, or verbatim when it is bytes."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
     return str(path)
 
 
@@ -136,7 +137,11 @@ class TestCommands:
       + [(E1_DOC, "rel", [{"x": "a\nb", "y": "b", "value": "1"}])]
       # A denominator that is a multiple of the modulus is zero in GF(p).
       + [(E1_GF5_DOC, "skew", [{"t": "1", "coeffs": {"a": "1/5"}}]),
-         (E1_GF5_DOC, "rel", [{"x": "a", "y": "b", "value": "3/10"}])])
+         (E1_GF5_DOC, "rel", [{"x": "a", "y": "b", "value": "3/10"}])]
+      # Past Python's 4 300-digit int limit, and not UTF-8: json.load raises ValueError.
+      + [pytest.param(json.dumps(E1_DOC).replace('"n": 2', '"n": 1' + "0" * 4999).encode(),
+                      None, None, id="n-of-5000-digits"),
+         pytest.param(b"\xff", None, None, id="byte-0xff")])
     def test_malformed_document_exit_3(self, tmp_path, capsys, doc, algebra, element):
         action = write(tmp_path, "action.json", doc)
         if algebra is None:

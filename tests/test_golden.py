@@ -16,6 +16,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "demos", "data")
 GOLDEN = os.path.join(ROOT, "tests", "data", "golden")
 E1_GF7 = os.path.join(ROOT, "tests", "data", "e1-gf7.json")
+# Z_3 on four orbits (two whole, two cut to two points) and two points no map
+# moves: six classes, and the members of each larger one are interleaved with
+# other classes in carrier order.
+Z3_SIX = os.path.join(ROOT, "tests", "data", "z3-six-classes.json")
 
 
 def _demo(name):
@@ -29,6 +33,8 @@ CASES = {
     "relation-e2": (["relation", _demo("e2.json")], 0),
     "ideals-e1": (["ideals", _demo("e1.json")], 0),
     "ideals-e2": (["ideals", _demo("e2.json")], 0),
+    "relation-z3-six-classes": (["relation", Z3_SIX], 0),
+    "ideals-z3-six-classes": (["ideals", Z3_SIX], 0),
     "mul-skew-e1": (["mul", "--algebra", "skew", _demo("e1.json"),
                      _demo("skew_lhs.json"), _demo("skew_rhs.json")], 0),
     "mul-rel-e1": (["mul", "--algebra", "rel", _demo("e1.json"),
