@@ -27,10 +27,10 @@ def _require_free(rel: Relation):
         raise NotFreeError("operation on F0(R) requires a free action")
 
 
-def _require_pairs(rel: Relation, pairs):
-    for pair in pairs:
-        if pair not in rel.pairs:
-            raise PreconditionError("pair (%s, %s) is not in R" % pair)
+def _require_pairs(rel: Relation, pairs: dict):
+    if not pairs.keys() <= rel.pairs.keys():
+        pair = next(p for p in pairs if p not in rel.pairs)
+        raise PreconditionError("pair (%s, %s) is not in R" % pair)
 
 
 class RelElement(SparseSum):
@@ -42,7 +42,7 @@ class RelElement(SparseSum):
     relation = property(lambda self: self.context[1])
 
     def __init__(self, field: FieldSpec, relation: Relation, coeffs=None):
-        _require_pairs(relation, coeffs or ())
+        _require_pairs(relation, coeffs or {})
         self.context = (field, relation)
         self.coeffs = self._reduce({p: field.unwrap(c) for p, c in (coeffs or {}).items()})
 
@@ -86,14 +86,16 @@ class RelElement(SparseSum):
 def gamma(rel: Relation, u: SkewElement) -> RelElement:
     """The isomorphism F0(X) x G -> F0(R): f delta_t |-> value f(x) at (x, h_{t^-1}(x))."""
     _require_free(rel)
-    if not u.validate():
-        raise PreconditionError("skew element has a term outside its D_t")
     out: dict = {}
-    for t, a in u.sorted_terms():
-        h = u.action.point_map(t.inverse())
+    for t, a in u.coeffs.items():
+        h = u.action.point_map(t.inverse())    # h_{t^-1}, defined on X_t
+        if not a.coeffs.keys() <= h.keys():
+            raise PreconditionError("skew element has a term outside its D_t")
         for x, c in a.coeffs.items():
             accumulate(out, (x, h[x]), c)
-    _require_pairs(rel, out)
+    if not out.keys() <= rel.pairs.keys():       # name the pair the term order meets first
+        _require_pairs(rel, {(x, u.action.point_map(t.inverse())[x]): c
+                             for t, a in u.sorted_terms() for x, c in a.coeffs.items()})
     return RelElement._raw((u.action.field, rel), out)
 
 
@@ -211,13 +213,15 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
     oracle for the ideal classification. A is unital (1 = sum of the
     delta_(x,x)), so two passes of row reduction suffice: the delta_p * g,
     then each basis row f times each delta_q. Either pass stops once the span
-    is the whole space. It uses convolution only, never the R-classes."""
+    is the whole space. It uses convolution only, never the R-classes, and
+    skips zero products: it forms delta_(x,y) * g only for y a first
+    coordinate of g and f * delta_(y,z) only for y a second one of f."""
     _require_free(rel)
     pairs = rel.sorted_pairs()
     column = {pair: i for i, pair in enumerate(pairs)}
     space = ExactRowSpace(field, len(pairs))
     one, context = field.raw(1), (field, rel)
-    deltas = [RelElement._raw(context, {pair: one}) for pair in pairs]
+    units = [(pair, RelElement._raw(context, {pair: one})) for pair in pairs]
 
     def fills(products) -> bool:
         for f in products:
@@ -226,11 +230,19 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
                 return True
         return False
 
-    if not fills(d * g for g in generators for d in deltas):
+    def units_meeting(f, i):
+        # Units delta_p with p[i] among f's coordinates 1 - i: the only ones whose
+        # product with f (d * f for i = 1, f * d for i = 0) can be nonzero.
+        if f.context != context:
+            raise PreconditionError(RelElement.mismatch)
+        ends = {p[1 - i] for p in f.coeffs}
+        return [d for p, d in units if p[i] in ends]
+
+    if not fills(d * g for g in generators for d in units_meeting(g, 1)):
         # Copy the rows first: add() back-substitutes into them.
         left = [RelElement._raw(context, {pairs[col]: c for col, c in row.items()})
                 for row in space.rows.values()]
-        fills(f * d for f in left for d in deltas)
+        fills(f * d for f in left for d in units_meeting(f, 0))
     return space
 
 
@@ -239,6 +251,5 @@ def span_of_ideal(field: FieldSpec, ideal: RelIdeal) -> ExactRowSpace:
     column = {pair: i for i, pair in enumerate(ideal.relation.sorted_pairs())}
     space = ExactRowSpace(field, len(column))
     one = field.raw(1)
-    for pair in ideal.basis:
-        space.add({column[pair]: one})
+    space.rows = {column[p]: {column[p]: one} for p in ideal.basis}  # unit rows: RREF already
     return space

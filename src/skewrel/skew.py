@@ -1,11 +1,12 @@
 """The partial skew group ring F0(X) x_alpha G.
 
 Elements are finite formal sums sum_t a_t delta_t with a_t in D_t = F0(X_t).
-The product extends (a_t delta_t)(b_s delta_s) =
-alpha_t(alpha_{t^-1}(a_t) b_s) delta_{ts} bilinearly, computed in exactly
-that order: pull a_t back with alpha_{t^-1}, multiply pointwise with b_s,
-push forward with alpha_t. Terms are canonicalized aggressively so equality
-is structural.
+The product extends (a_t delta_t)(b_s delta_s) = alpha_t(alpha_{t^-1}(a_t) b_s)
+delta_{ts} bilinearly. As alpha_t(f) = f o h_{t^-1}, the pullback puts a_t(x) at
+h_{t^-1}(x) and alpha_t brings the pointwise product back to x, so the product
+computes the ts term directly as x |-> a_t(x) b_s(h_{t^-1}(x)), on the x in the
+support of a_t with h_{t^-1}(x) in that of b_s. Terms are canonicalized so
+equality is structural.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ class SkewElement(SparseSum):
         for t, a in (terms or {}).items():
             if a.context != context:
                 raise PreconditionError("coefficient over the wrong carrier or field")
-            if check_support:
-                x_t = action.domain_support(t)
-                outside = [x for x in a.coeffs if x not in x_t]
-                if outside:
-                    raise PreconditionError("a_%s has support outside X_%s at %s"
-                                            % (t, t, ",".join(action.carrier.sort(outside))))
+            if check_support and not a.coeffs.keys() <= action.domain_support(t):
+                outside = action.carrier.sort(a.coeffs.keys() - action.domain_support(t))
+                raise PreconditionError("a_%s has support outside X_%s at %s"
+                                        % (t, t, ",".join(outside)))
         self.context = (action,)
         self.coeffs = self._reduce(terms or {})
 
@@ -72,15 +71,20 @@ class SkewElement(SparseSum):
     def __mul__(self, other: "SkewElement") -> "SkewElement":
         self._check(other)
         alpha = self.action
-        right = other.sorted_terms()
-        out: dict[GroupElement, FunAlgElement] = {}
-        for t, a in self.sorted_terms():
-            pulled = alpha.apply(t.inverse(), a)       # alpha_{t^-1}(a_t), in D_{t^-1}
+        right = [(s, b.coeffs) for s, b in other.coeffs.items()]
+        out: dict = {}                                 # ts -> {x: raw value}
+        for t, a in self.coeffs.items():
+            h = alpha.point_map(t.inverse())           # h_{t^-1}, defined on X_t
+            if not a.coeffs.keys() <= h.keys():        # a_t leaves X_t: alpha.apply raises,
+                for r, f in self.sorted_terms():       # at the first such term in term order
+                    alpha.apply(r.inverse(), f)
             for s, b in right:
-                mid = pulled * b                       # lands in D_{t^-1} & D_s
-                if not mid.is_zero():
-                    accumulate(out, t * s, alpha.apply(t, mid))   # in D_t & D_{ts}
-        return self._like(out)
+                if values := [(x, c * b[h[x]]) for x, c in a.coeffs.items() if h[x] in b]:
+                    term = out.setdefault(t * s, {})
+                    for x, c in values:
+                        accumulate(term, x, c)
+        context = (alpha.field, alpha.carrier)
+        return self._like({ts: FunAlgElement._raw(context, term) for ts, term in out.items()})
 
     def validate(self) -> bool:
         """True iff every stored a_t is supported inside X_t."""

@@ -1,5 +1,9 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -9,7 +13,7 @@ from skewrel.actions import PartialAction, build_relation
 from skewrel.errors import NotFreeError, PreconditionError
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS, Scalar
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle
-from skewrel.funalg import InducedAlgebraAction
+from skewrel.funalg import FunAlgElement, InducedAlgebraAction
 from skewrel.groups import GroupSpec
 from skewrel.relalg import (ExactRowSpace, RelElement, brute_force_ideal_span,
                             count_ideals, gamma, gamma_inv, ideal_closure_of,
@@ -130,7 +134,25 @@ ORACLE_ACTIONS = [e1_action, e2_action, three_class_action, chain5_action]
 ORACLE_IDS = ["E1", "E2", "three-class", "chain5"]
 
 
+class Forbidden:
+    """Stands in for an attribute the code under test must not read: any use fails."""
+
+    def _fail(self, *_args, **_kwargs):
+        raise AssertionError("the oracle consulted the R-classes")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __contains__ = __bool__ = _fail
+    __eq__ = __hash__ = _fail
+
+
 class TestConvolution:
+    def test_pairs_outside_r_are_named_in_the_given_order(self, e1):
+        _, rel, _ = e1
+        one = Q.from_int(1)
+        for coeffs, named in [({("a", "b"): one, ("a", "c"): one, ("c", "a"): one}, "a, c"),
+                              ({("c", "a"): one, ("a", "c"): one}, "c, a")]:
+            with pytest.raises(PreconditionError, match=r"^pair \(%s\) is not in R$" % named):
+                RelElement(Q, rel, coeffs)
+
     def test_matching_middle(self, e1):
         _, rel, _ = e1
         f = RelElement.delta(Q, rel, "a", "b")
@@ -256,6 +278,24 @@ class TestGamma:
             assert gamma_inv(alpha, gamma(rel, u)) == u
             f = random_rel(rng, field, rel)
             assert gamma(rel, gamma_inv(alpha, f)) == f
+
+    def test_term_outside_its_domain_rejected(self, e1):
+        action, rel, alpha = e1
+        q = {x: FunAlgElement.delta(Q, alpha.carrier, x) for x in alpha.carrier}
+        bad = SkewElement(alpha, {action.identity: q["a"], action.group.element(1): q["c"]},
+                          check_support=False)
+        with pytest.raises(PreconditionError, match=r"^skew element has a term outside its D_t$"):
+            gamma(rel, bad)
+
+    def test_relation_of_another_action_names_the_first_pair_in_term_order(self, e2):
+        action, _rel, alpha = e2
+        diagonal = build_relation(PartialAction(GroupSpec.cyclic(1), action.carrier, {}))
+        z = action.group
+        q = {x: FunAlgElement.delta(Q, alpha.carrier, x) for x in alpha.carrier}
+        # Stored as t = 2 before t = 1; term order meets (2, 1) before (3, 1).
+        u = SkewElement(alpha, {z.element(2): q["3"], z.element(1): q["2"] + q["3"]})
+        with pytest.raises(PreconditionError, match=r"^pair \(2, 1\) is not in R$"):
+            gamma(diagonal, u)
 
     def test_non_free_rejected(self):
         rel = non_free_relation()
@@ -413,5 +453,69 @@ class TestOracleStopRule:
             for name in ("ideal_closure_of", "invariant_closure", "equivalence_classes"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
+        # The pair order is cached first; after that the R-classes themselves are
+        # off limits, so the oracle can skip products only by the generators' supports.
+        rel.sorted_pairs()
+        monkeypatch.setattr(rel, "classes", Forbidden())
+        monkeypatch.setattr(rel, "class_of", Forbidden())
         assert [brute_force_ideal_span(field, rel, generators)
                 for generators in cases] == expected
+
+
+class TestSpanOfIdeal:
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("make_action", ORACLE_ACTIONS, ids=ORACLE_IDS)
+    def test_matches_unit_vectors_added_one_by_one(self, field, make_action):
+        _, rel, _ = fixture_bundle(field, make_action())
+        column = {pair: i for i, pair in enumerate(rel.sorted_pairs())}
+        subsets = actions.enumerate_invariant_subsets(rel)
+        assert len(subsets) == count_ideals(rel)
+        for subset in subsets:
+            ideal = ideal_from_invariant(rel, subset)
+            expected = ExactRowSpace(field, len(column))
+            for pair in ideal.basis:
+                expected.add({column[pair]: field.raw(1)})
+            span = span_of_ideal(field, ideal)
+            assert span == expected
+            assert list(span.rows.items()) == list(expected.rows.items())
+
+
+# Runs the oracle on E2 in a fresh interpreter and prints every vector it hands
+# to ExactRowSpace.add, entries in their dict order.
+RECORD_ORACLE_ADDS = """
+import json, random
+from skewrel import relalg
+from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
+from skewrel.fixtures import e2_action, fixture_bundle
+from skewrel.selftest import random_rel
+
+added = []
+add = relalg.ExactRowSpace.add
+
+def record(self, vec):
+    added.append([[col, str(c)] for col, c in vec.items()])
+    return add(self, vec)
+
+relalg.ExactRowSpace.add = record
+rng = random.Random(7)
+for field in (FieldSpec(RATIONALS), FieldSpec(PRIME_FIELD, 5)):
+    _, rel, _ = fixture_bundle(field, e2_action())
+    for pair in rel.sorted_pairs():
+        relalg.brute_force_ideal_span(field, rel, [relalg.RelElement.delta(field, rel, *pair)])
+    for _ in range(20):
+        generators = [random_rel(rng, field, rel) for _ in range(rng.randint(1, 3))]
+        relalg.brute_force_ideal_span(field, rel, generators)
+print(json.dumps(added))
+"""
+
+
+def test_oracle_adds_the_same_vectors_under_any_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", RECORD_ORACLE_ADDS], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        runs.append(json.loads(done.stdout))
+    assert len(runs[0]) > 100
+    assert runs[0] == runs[1]

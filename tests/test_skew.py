@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from skewrel.actions import PartialAction, build_relation
 from skewrel.errors import PreconditionError
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle
-from skewrel.funalg import FunAlgElement, InducedAlgebraAction
+from skewrel.funalg import FunAlgElement, InducedAlgebraAction, accumulate
 from skewrel.groups import GroupSpec
 from skewrel.relalg import gamma_inv
 from skewrel.selftest import random_rel, random_skew
@@ -174,3 +175,77 @@ class TestSharedCarrier:
             return min(times)
 
         assert best_of_7(1000) < 5 * best_of_7(1)
+
+
+def reference_product(u, v):
+    """The product in the order of the formula alpha_t(alpha_{t^-1}(a_t) b_s):
+    pull a_t back with alpha_{t^-1}, multiply pointwise with b_s, push the
+    result forward with alpha_t, and add the terms as F0(X) elements."""
+    alpha = u.action
+    out = {}
+    for t, a in u.sorted_terms():
+        pulled = alpha.apply(t.inverse(), a)       # alpha_{t^-1}(a_t), in D_{t^-1}
+        for s, b in v.sorted_terms():
+            mid = pulled * b                       # lands in D_{t^-1} & D_s
+            if not mid.is_zero():
+                accumulate(out, t * s, alpha.apply(t, mid))   # in D_t & D_{ts}
+    return u._like(out)
+
+
+def assert_reduced(u):
+    """Every stored value is a nonzero raw value in its field's normal form."""
+    modulus = u.action.field.modulus
+    for a in u.terms.values():
+        assert a.coeffs
+        for c in a.coeffs.values():
+            if modulus is None:
+                assert isinstance(c, Fraction) and c != 0
+            else:
+                assert isinstance(c, int) and 0 < c < modulus
+
+
+class TestFusedProduct:
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("make_action", [e1_action, e2_action, lambda: cyclic_action(8, 4)],
+                             ids=["E1", "E2", "cyclic-8-4"])
+    def test_matches_pull_multiply_push(self, field, make_action):
+        alpha = InducedAlgebraAction(field, make_action(), validate=False)
+        rng = random.Random(23)
+        nonzero = 0
+        for _ in range(60):
+            u, v = random_skew(rng, alpha), random_skew(rng, alpha)
+            product = u * v
+            assert product == reference_product(u, v)
+            assert_reduced(product)
+            nonzero += not product.is_zero()
+        assert nonzero >= 10
+
+    def test_cancelling_terms_drop_out(self):
+        alpha = e1_alpha(F5)
+        e, g = alpha.action.identity, alpha.action.group.element(1)
+        f = FunAlgElement(F5, alpha.carrier, {"a": F5.from_int(1), "b": F5.from_int(2)})
+        u = SkewElement(alpha, {e: f, g: f})
+        v = SkewElement(alpha, {e: f, g: f.scale(F5.from_int(-1))})
+        assert u * v == reference_product(u, v)
+        assert_reduced(u * v)
+
+    def test_support_outside_x_t_raises_as_before(self):
+        alpha = e2_alpha()
+        z = alpha.action.group
+        q = {x: FunAlgElement.delta(Q, alpha.carrier, x) for x in alpha.carrier}
+        # X_1 = {2, 3} and X_2 = {3}; both terms leave them, and the term stored
+        # first is not the first in term order.
+        bad = SkewElement(alpha, {z.element(2): q["1"] + q["2"], z.element(1): q["1"]},
+                          check_support=False)
+        for v in (SkewElement.zero(alpha), SkewElement.one(alpha)):
+            with pytest.raises(PreconditionError) as expected:
+                reference_product(bad, v)
+            with pytest.raises(PreconditionError) as fused:
+                bad * v
+            assert str(fused.value) == str(expected.value) == "support escapes X_{t^-1} at 1"
+
+    def test_constructor_names_the_points_outside_x_t(self):
+        alpha = e2_alpha()
+        f = FunAlgElement(Q, alpha.carrier, {x: Q.from_int(1) for x in ("3", "2", "1")})
+        with pytest.raises(PreconditionError, match=r"^a_2 has support outside X_2 at 1,2$"):
+            SkewElement(alpha, {alpha.action.group.element(2): f})
