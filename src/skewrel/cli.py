@@ -3,7 +3,7 @@
 Commands: validate, relation, ideals, mul, gamma, selftest. All results go
 to stdout as JSON; diagnostics go to stderr. Exit codes: 0 success,
 1 validation or precondition failure, 2 property failure, 3 I/O or parse
-error.
+error, usage errors included.
 """
 
 from __future__ import annotations
@@ -126,6 +126,12 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_PROPERTY
 
 
+def non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %s" % text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewrel",
@@ -160,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the seeded property battery")
     p.add_argument("--action", default=None)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=non_negative_int, required=True)
     p.add_argument("--corrupt-skew-mul", action="store_true",
                    help=argparse.SUPPRESS)  # fault-injection hook for testing
     p.set_defaults(func=cmd_selftest)
@@ -168,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 after --help, 2 after its usage message
+        return EXIT_IO if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ValidationFailure as exc:

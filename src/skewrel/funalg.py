@@ -29,9 +29,9 @@ class SparseSum:
     coefficients (a carrier and a field, a relation and a field, an algebra
     action). Coefficients are raw field values (see ``fields``), reduced and
     nonzero, or nonzero F0(X) elements in the skew ring. The public
-    constructors check keys and unwrap Scalars; kernel results, whose keys
-    are known to be valid, go through ``_raw`` instead. Subclasses supply
-    the product, ``scale``, the term order and ``repr``.
+    constructors check keys and unwrap Scalars; kernel results and the seeded
+    draws, whose keys are known to be valid, go through ``_raw`` instead.
+    Subclasses supply the product, ``scale``, the term order and ``repr``.
     """
 
     coeffs: dict
@@ -248,19 +248,19 @@ class InducedAlgebraAction:
         self.field = field
         self.action = action
         self.carrier = action.carrier
-        # h_t for e and each listed t, and the domain of h_{t^-1}, which is X_t
-        # in a valid action; every other t has empty maps and domains.
+        # h_t for e and each listed t, and the same maps keyed by t^-1: h_{t^-1},
+        # whose domain is X_t in a valid action. Every other t has empty maps.
         self._maps = {action.identity: {x: x for x in self.carrier}, **action.maps}
-        self._domains = {t.inverse(): h.keys() for t, h in self._maps.items()}
+        self._pulls = {t.inverse(): h for t, h in self._maps.items()}
         self._labels = None
 
-    def point_map(self, t: GroupElement) -> dict:
-        """h_t as a read-only dict on X_{t^-1}."""
-        return self._maps.get(t, {})
+    def pull_map(self, t: GroupElement) -> dict:
+        """h_{t^-1} as a read-only dict on X_t, keyed by t: no inverse to form."""
+        return self._pulls.get(t, {})
 
     def domain_support(self, t: GroupElement):
         """Support set of D_t, i.e. X_t, as a read-only view."""
-        return self._domains.get(t, {}.keys())
+        return self.pull_map(t).keys()
 
     def domain_labels(self) -> dict:
         """{t: X_t in carrier order} for e, then each listed t; built once."""
@@ -274,7 +274,7 @@ class InducedAlgebraAction:
         """alpha_t(f) = f o h_{t^-1}; requires support(f) within X_{t^-1}."""
         if f.context != (self.field, self.carrier):
             raise PreconditionError("element lives over the wrong carrier or field")
-        h_t = self.point_map(t)
+        h_t = self._maps.get(t, {})
         outside = [x for x in f.coeffs if x not in h_t]
         if outside:
             raise PreconditionError(

@@ -6,6 +6,10 @@ f delta_t to the function supported on pairs (x, h_{t^-1}(x)) with value f(x).
 Ideals are exactly the F0((Z x Z) & R) for R-invariant subsets Z. The
 independent oracle computes the ideal A·G·A generated by a set G in two
 passes of exact row reduction, using only convolution and the unit of A.
+It indexes each operand once: an element keeps the first-coordinate index
+that convolution reads when it is a right factor, the oracle indexes its
+units by each coordinate once per call, and its row space indexes its rows
+by column.
 
 Every operation here refuses non-free actions: with multiple witnesses the
 pair-indexed convolution would double-count, a case the construction does
@@ -14,8 +18,10 @@ not define.
 
 from __future__ import annotations
 
-from .actions import (Relation, invariant_closure, is_invariant, equivalence_classes,
-                      witness)
+from collections import defaultdict
+from functools import cached_property
+
+from .actions import Relation, invariant_closure, is_invariant, equivalence_classes
 from .errors import NotFreeError, PreconditionError
 from .fields import FieldSpec, Scalar
 from .funalg import FunAlgElement, InducedAlgebraAction, SparseSum, accumulate
@@ -62,13 +68,19 @@ class RelElement(SparseSum):
         k = self.field.unwrap(k)
         return self._like({p: k * c for p, c in self.coeffs.items()})
 
+    @cached_property
+    def by_first(self) -> dict:
+        """y -> [(z, value at (y, z))]: built on first use, kept as elements are immutable."""
+        by_first: dict[str, list] = {}
+        for (y, z), d in self.coeffs.items():
+            by_first.setdefault(y, []).append((z, d))
+        return by_first
+
     def __mul__(self, other: "RelElement") -> "RelElement":
         """Convolution: match middle coordinates over stored support only."""
         self._check(other)
         _require_free(self.relation)
-        by_first: dict[str, list] = {}
-        for (y, z), d in other.coeffs.items():
-            by_first.setdefault(y, []).append((z, d))
+        by_first = other.by_first
         out: dict = {}
         for (x, y), c in self.coeffs.items():
             for z, d in by_first.get(y, ()):
@@ -88,13 +100,13 @@ def gamma(rel: Relation, u: SkewElement) -> RelElement:
     _require_free(rel)
     out: dict = {}
     for t, a in u.coeffs.items():
-        h = u.action.point_map(t.inverse())    # h_{t^-1}, defined on X_t
+        h = u.action.pull_map(t)               # h_{t^-1}, defined on X_t
         if not a.coeffs.keys() <= h.keys():
             raise PreconditionError("skew element has a term outside its D_t")
         for x, c in a.coeffs.items():
             accumulate(out, (x, h[x]), c)
     if not out.keys() <= rel.pairs.keys():       # name the pair the term order meets first
-        _require_pairs(rel, {(x, u.action.point_map(t.inverse())[x]): c
+        _require_pairs(rel, {(x, u.action.pull_map(t)[x]): c
                              for t, a in u.sorted_terms() for x, c in a.coeffs.items()})
     return RelElement._raw((u.action.field, rel), out)
 
@@ -104,12 +116,13 @@ def gamma_inv(alpha: InducedAlgebraAction, f: RelElement) -> SkewElement:
     at t = s^-1 with f_t(x) = f(x, h_{t^-1}(x))."""
     rel = f.relation
     _require_free(rel)
-    coeffs: dict = {}          # t -> {x: f_t(x)}; x and t fix y, so no x repeats
+    coeffs: dict = {}          # s -> {x: f_{s^-1}(x)}; x and s fix y, so no x repeats
     for (x, y), c in f.coeffs.items():
-        coeffs.setdefault(witness(rel, x, y).inverse(), {})[x] = c
+        coeffs.setdefault(rel.pairs[x, y][0], {})[x] = c    # the one witness, as R is free
     # The public SkewElement constructor checks each term's support in X_t.
     context = (alpha.field, alpha.carrier)
-    return SkewElement(alpha, {t: FunAlgElement._raw(context, a) for t, a in coeffs.items()})
+    return SkewElement(alpha, {s.inverse(): FunAlgElement._raw(context, a)
+                               for s, a in coeffs.items()})
 
 
 class RelIdeal:
@@ -161,7 +174,7 @@ def count_ideals(rel: Relation) -> int:
 def _subtract_multiple(vec: dict, c, row: dict):
     """vec -= c·row in place, unreduced."""
     for col, b in row.items():
-        accumulate(vec, col, -(c * b))
+        vec[col] = vec[col] - c * b if col in vec else -(c * b)
 
 
 class ExactRowSpace:
@@ -170,12 +183,16 @@ class ExactRowSpace:
     Vectors are sparse dicts {column: raw field value}. ``rows`` maps each
     pivot column to its row, whose pivot entry is one and which every other
     row is zero at; reduced echelon form is unique, so ``==`` compares spaces.
+    ``holders`` maps a column to the pivots of the rows nonzero there. ``add``
+    reads it only at a new pivot, so back-substitution visits only the rows
+    it changes.
     """
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
         self.rows: dict[int, dict] = {}
+        self.holders: defaultdict[int, set] = defaultdict(set)
 
     def add(self, vec: dict) -> bool:
         """Insert a sparse vector of raw values; returns True if the space grew."""
@@ -190,11 +207,18 @@ class ExactRowSpace:
         piv = min(vec)
         inv = field.inv(vec[piv])
         vec = field.reduce({col: inv * c for col, c in vec.items()})
-        for p, row in self.rows.items():
-            if piv in row:
-                _subtract_multiple(row, row[piv], vec)
-                self.rows[p] = field.reduce(row)
+        for p in self.holders.pop(piv, ()):      # back-substitute into the rows nonzero at piv
+            row = self.rows[p]
+            _subtract_multiple(row, row[piv], vec)
+            self.rows[p] = row = field.reduce(row)
+            for col in vec:                      # the row changed only at these columns
+                if col in row:
+                    self.holders[col].add(p)
+                else:
+                    self.holders[col].discard(p)
         self.rows[piv] = vec
+        for col in vec:
+            self.holders[col].add(piv)
         return True
 
     @property
@@ -215,13 +239,18 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
     then each basis row f times each delta_q. Either pass stops once the span
     is the whole space. It uses convolution only, never the R-classes, and
     skips zero products: it forms delta_(x,y) * g only for y a first
-    coordinate of g and f * delta_(y,z) only for y a second one of f."""
+    coordinate of g and f * delta_(y,z) only for y a second one of f, found
+    through an index of the units by each coordinate, built once per call."""
     _require_free(rel)
     pairs = rel.sorted_pairs()
     column = {pair: i for i, pair in enumerate(pairs)}
     space = ExactRowSpace(field, len(pairs))
     one, context = field.raw(1), (field, rel)
-    units = [(pair, RelElement._raw(context, {pair: one})) for pair in pairs]
+    units = [RelElement._raw(context, {pair: one}) for pair in pairs]
+    at: tuple[dict, dict] = ({}, {})     # at[i][y]: the k with pairs[k][i] = y, ascending
+    for k, pair in enumerate(pairs):
+        for i in (0, 1):
+            at[i].setdefault(pair[i], []).append(k)
 
     def fills(products) -> bool:
         for f in products:
@@ -236,7 +265,7 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
         if f.context != context:
             raise PreconditionError(RelElement.mismatch)
         ends = {p[1 - i] for p in f.coeffs}
-        return [d for p, d in units if p[i] in ends]
+        return [units[k] for k in sorted(k for y in ends for k in at[i].get(y, ()))]
 
     if not fills(d * g for g in generators for d in units_meeting(g, 1)):
         # Copy the rows first: add() back-substitutes into them.

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .actions import (PartialAction, check_free, equivalence_classes,
+from .actions import (Carrier, PartialAction, check_free, equivalence_classes,
                       validate_partial_action, verify_equivalence)
 from .errors import PreconditionError
 from .fields import FieldSpec, Scalar
@@ -56,21 +56,23 @@ _DENOMINATORS = (1, 2, 3)
 _RATIONAL_DRAWS = {(n, d): Fraction(n, d) for n in _NUMERATORS for d in _DENOMINATORS}
 
 
-def random_scalar(rng: random.Random, field: FieldSpec):
-    """Nonzero coefficient from the stated test distribution."""
-    if field.kind == "prime-field":
-        return Scalar(field, rng.randrange(1, field.modulus))
-    num = rng.choice(_NUMERATORS)
-    den = rng.choice(_DENOMINATORS)
-    return Scalar(field, _RATIONAL_DRAWS[num, den])
+def random_value(rng: random.Random, field: FieldSpec):
+    """Nonzero raw coefficient from the stated test distribution."""
+    if field.modulus is not None:
+        return rng.randrange(1, field.modulus)
+    return _RATIONAL_DRAWS[rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)]
+
+
+def random_scalar(rng: random.Random, field: FieldSpec) -> Scalar:
+    return Scalar(field, random_value(rng, field))
 
 
 def random_funalg(rng, field, carrier, allowed=None) -> FunAlgElement:
     pool = list(carrier if allowed is None else allowed)
     size = rng.randint(0, len(pool))
-    support = rng.sample(pool, size)
-    return FunAlgElement(field, carrier,
-                         {x: random_scalar(rng, field) for x in support})
+    support = rng.sample(pool, size)       # allowed lies in the carrier
+    return FunAlgElement._raw((field, Carrier(carrier)),
+                              {x: random_value(rng, field) for x in support})
 
 
 def random_skew(rng, alpha: InducedAlgebraAction) -> SkewElement:
@@ -80,14 +82,14 @@ def random_skew(rng, alpha: InducedAlgebraAction) -> SkewElement:
     terms = {}
     for t in rng.sample(ts, count):
         terms[t] = random_funalg(rng, alpha.field, alpha.carrier, domains[t])
-    return SkewElement(alpha, terms)
+    return SkewElement._raw((alpha,), terms)
 
 
 def random_rel(rng, field, rel) -> RelElement:
     pairs = rel.sorted_pairs()
     size = rng.randint(0, len(pairs))
     chosen = rng.sample(pairs, size)
-    return RelElement(field, rel, {p: random_scalar(rng, field) for p in chosen})
+    return RelElement._raw((field, rel), {p: random_value(rng, field) for p in chosen})
 
 
 def _e2_without_h2() -> PartialAction:
@@ -219,13 +221,14 @@ def suite_homomorphisms(rng, bundles) -> SuiteResult:
     suite = SuiteResult("homomorphism-classification")
     for name, fld, action, _rel, _alpha in bundles:
         carrier = action.carrier
+        one, zeros = fld.one(), dict.fromkeys(carrier, fld.zero())
         for x in carrier:
-            values = {y: (fld.one() if y == x else fld.zero()) for y in carrier}
+            values = dict(zeros)
+            values[x] = one
             cls = classify_linear_functional(fld, carrier, values)
             suite.check(cls.verdict == "evaluation" and cls.point == x,
                         "%s: eps_%s misclassified as %s", name, x, cls.verdict)
-        zero = {y: fld.zero() for y in carrier}
-        suite.check(classify_linear_functional(fld, carrier, zero).verdict == "zero",
+        suite.check(classify_linear_functional(fld, carrier, zeros).verdict == "zero",
                     "%s: zero functional misclassified", name)
     fld = RATIONALS_FIELD
     carrier = ("a", "b", "c")

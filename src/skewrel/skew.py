@@ -74,7 +74,7 @@ class SkewElement(SparseSum):
         right = [(s, b.coeffs) for s, b in other.coeffs.items()]
         out: dict = {}                                 # ts -> {x: raw value}
         for t, a in self.coeffs.items():
-            h = alpha.point_map(t.inverse())           # h_{t^-1}, defined on X_t
+            h = alpha.pull_map(t)                      # h_{t^-1}, defined on X_t
             if not a.coeffs.keys() <= h.keys():        # a_t leaves X_t: alpha.apply raises,
                 for r, f in self.sorted_terms():       # at the first such term in term order
                     alpha.apply(r.inverse(), f)

@@ -105,6 +105,22 @@ class TestCommands:
         code, _out, err = run(capsys, "validate", str(path))
         assert code == 3 and err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["validate"], "the following arguments are required: action"),
+        (["selftest", "--seed", "1", "--trials", "-3"], "argument --trials: must be at least 0"),
+        (["selftest", "--seed", "1", "--trials", "three"], "argument --trials: invalid"),
+        (["frobnicate"], "argument command: invalid choice"),
+    ])
+    def test_usage_error_exit_3(self, capsys, argv, message):
+        # 2 is the property-failure code; a usage error is a parse error.
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("usage: skewrel") and "error: " + message in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--help")
+        assert code == 0 and out.startswith("usage: skewrel selftest")
+
     @pytest.mark.parametrize("doc, algebra, element", [
         (dict(E1_DOC, maps=[{"t": "1", "pairs": 5}]), None, None),
         (E1_DOC, "skew", [{"t": "1", "coeffs": {"a": 3}}]),
@@ -302,6 +318,12 @@ class TestSelftestCommand:
         assoc = next(s for s in doc["suites"] if s["name"] == "associativity")
         assert assoc["failed"] > 0
         assert assoc["failures"]
+
+    def test_zero_trials_runs_only_the_fixed_checks(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--seed", "1", "--trials", "0")
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] and doc["trials"] == 0
+        assert next(s for s in doc["suites"] if s["name"] == "associativity")["passed"] == 0
 
     def test_custom_action(self, tmp_path, capsys):
         path = tmp_path / "e1.json"

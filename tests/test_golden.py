@@ -20,6 +20,8 @@ E1_GF7 = os.path.join(ROOT, "tests", "data", "e1-gf7.json")
 # moves: six classes, and the members of each larger one are interleaved with
 # other classes in carrier order.
 Z3_SIX = os.path.join(ROOT, "tests", "data", "z3-six-classes.json")
+# bench/gen.py's cyc(8, 12, random.Random(1)): Z_8 on 12 orbits, 96 shuffled points.
+CYC_8_12 = os.path.join(ROOT, "tests", "data", "cyc-8-12.json")
 
 
 def _demo(name):
@@ -50,6 +52,8 @@ CASES = {
                            "--trials", "100"], 0),
     "selftest-e1-gf7-7-100": (["selftest", "--action", E1_GF7, "--seed", "7",
                                "--trials", "100"], 0),
+    "selftest-cyc-8-12-1-3": (["selftest", "--seed", "1", "--trials", "3",
+                               "--action", CYC_8_12], 0),
 }
 
 

@@ -7,16 +7,18 @@ field.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from skewrel.errors import PreconditionError
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS, Scalar
-from skewrel.fixtures import e2_action, fixture_bundle
+from skewrel.fixtures import e1_action, e2_action, fixture_bundle
 from skewrel.funalg import FunAlgElement
 from skewrel.relalg import ExactRowSpace, RelElement, brute_force_ideal_span, gamma, gamma_inv
 from skewrel.selftest import random_funalg, random_rel, random_skew
 from skewrel.skew import SkewElement
+from test_skew import cyclic_action
 
 Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)
@@ -31,6 +33,57 @@ def seeded_e2(field, seed=5, count=25):
     fs = [random_rel(rng, field, rel) for _ in range(count)]
     hs = [random_funalg(rng, field, alpha.carrier) for _ in range(count)]
     return rel, alpha, us, fs, hs
+
+
+# The constructor-based draws that the seeded ones replaced, kept as the
+# reference: a Scalar per value, and the keys checked by the public constructors.
+def reference_scalar(rng, field):
+    if field.kind == PRIME_FIELD:
+        return Scalar(field, rng.randrange(1, field.modulus))
+    num = rng.choice((-3, -2, -1, 1, 2, 3))
+    den = rng.choice((1, 2, 3))
+    return Scalar(field, Fraction(num, den))
+
+
+def reference_funalg(rng, field, carrier, allowed=None):
+    pool = list(carrier if allowed is None else allowed)
+    support = rng.sample(pool, rng.randint(0, len(pool)))
+    return FunAlgElement(field, carrier, {x: reference_scalar(rng, field) for x in support})
+
+
+def reference_skew(rng, alpha):
+    domains = alpha.domain_labels()
+    ts = list(domains)
+    terms = {t: reference_funalg(rng, alpha.field, alpha.carrier, domains[t])
+             for t in rng.sample(ts, rng.randint(0, len(ts)))}
+    return SkewElement(alpha, terms)
+
+
+def reference_rel(rng, field, rel):
+    pairs = rel.sorted_pairs()
+    chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+    return RelElement(field, rel, {p: reference_scalar(rng, field) for p in chosen})
+
+
+@FIELDS
+@pytest.mark.parametrize("make_action", [e1_action, e2_action, lambda: cyclic_action(8, 4)],
+                         ids=["E1", "E2", "cyc-8-4"])
+def test_raw_draws_match_the_constructor_draws(field, make_action):
+    _, rel, alpha = fixture_bundle(field, make_action())
+    domains = alpha.domain_labels()
+    ts = list(domains)
+    raw, reference = random.Random(13), random.Random(13)
+    for i in range(40):
+        x_t = domains[ts[i % len(ts)]]
+        for draw, reference_draw, args in [
+                (random_funalg, reference_funalg, (field, alpha.carrier)),
+                (random_funalg, reference_funalg, (field, alpha.carrier, x_t)),
+                (random_skew, reference_skew, (alpha,)),
+                (random_rel, reference_rel, (field, rel))]:
+            got, expected = draw(raw, *args), reference_draw(reference, *args)
+            assert got == expected
+            assert list(got.coeffs) == list(expected.coeffs)
+            assert raw.getstate() == reference.getstate()
 
 
 def count_scalars(monkeypatch) -> list:

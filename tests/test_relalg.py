@@ -20,6 +20,7 @@ from skewrel.relalg import (ExactRowSpace, RelElement, brute_force_ideal_span,
                             ideal_from_invariant, ideal_membership, span_of_ideal)
 from skewrel.selftest import random_rel, random_scalar, random_skew
 from skewrel.skew import SkewElement
+from test_skew import cyclic_action
 
 Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)
@@ -371,6 +372,11 @@ class TestExactRowSpace:
                 assert space.dimension == len(ref_rows)
                 assert {piv: as_scalars(field, row)
                         for piv, row in space.rows.items()} == ref_rows
+                holders = {}
+                for piv, row in space.rows.items():
+                    for col in row:
+                        holders.setdefault(col, set()).add(piv)
+                assert {col: ps for col, ps in space.holders.items() if ps} == holders
 
 
 class TestBruteForceSpan:
@@ -460,6 +466,46 @@ class TestOracleStopRule:
         monkeypatch.setattr(rel, "class_of", Forbidden())
         assert [brute_force_ideal_span(field, rel, generators)
                 for generators in cases] == expected
+
+
+class TestOracleIndexes:
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("make_action", ORACLE_ACTIONS + [lambda: cyclic_action(8, 4)],
+                             ids=ORACLE_IDS + ["cyc-8-4"])
+    def test_each_right_factor_is_indexed_once(self, field, make_action, monkeypatch):
+        indexed, right = [], []
+        by_first, convolve = RelElement.__dict__["by_first"], RelElement.__mul__
+
+        def recording_index(element, build=by_first.func):
+            indexed.append(element)
+            return build(element)
+
+        def recording_convolve(f, g):
+            right.append(g)
+            return convolve(f, g)
+
+        monkeypatch.setattr(by_first, "func", recording_index)
+        monkeypatch.setattr(RelElement, "__mul__", recording_convolve)
+        rel, cases = oracle_cases(field, make_action)
+        for generators in cases:      # some generators recur, already indexed
+            brute_force_ideal_span(field, rel, generators)
+        # The recorded elements stay alive, so distinct elements have distinct ids.
+        assert len(indexed) == len({id(f) for f in indexed}) == len({id(g) for g in right})
+        assert {id(f) for f in indexed} == {id(g) for g in right}
+        assert len(right) > 2 * len(indexed)
+
+    def test_cost_per_pair_is_flat_in_the_relation(self):
+        def per_pair(k):
+            _, rel, _ = fixture_bundle(Q, cyclic_action(8, k))
+            g = random_rel(random.Random(1), Q, rel)
+            times = []
+            for _ in range(3):
+                start = time.process_time()
+                brute_force_ideal_span(Q, rel, [g])
+                times.append(time.process_time() - start)
+            return min(times) / len(rel.pairs)
+
+        assert per_pair(100) < 2 * per_pair(25)
 
 
 class TestSpanOfIdeal:

@@ -138,14 +138,22 @@ def cyclic_action(n, k):
 
 class TestSharedCarrier:
     def test_every_coefficient_shares_the_action_positions(self, monkeypatch):
+        # Records the elements of both constructors: the public one, and _raw,
+        # which the seeded draws and the kernel results go through.
         built = []
-        init = FunAlgElement.__init__
+        init, raw = FunAlgElement.__init__, FunAlgElement._raw.__func__
 
         def record(self, *args, **kwargs):
             init(self, *args, **kwargs)
             built.append(self)
 
+        def record_raw(cls, *args):
+            element = raw(cls, *args)
+            built.append(element)
+            return element
+
         monkeypatch.setattr(FunAlgElement, "__init__", record)
+        monkeypatch.setattr(FunAlgElement, "_raw", classmethod(record_raw))
         rng = random.Random(17)
         for alpha in (e1_alpha(), e2_alpha(F5), e2_alpha()):
             rel = build_relation(alpha.action)
