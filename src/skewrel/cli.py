@@ -181,8 +181,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValidationFailure as exc:
-        report = getattr(exc, "report", None)
-        lines = report.render() if report is not None else [str(exc)]
+        lines = exc.report.render()
         print(dump_json({"ok": False, "violations": lines}))
         for line in lines:
             print(line, file=sys.stderr)

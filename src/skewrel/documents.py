@@ -9,10 +9,11 @@ first then encoding order for group elements).
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 
 from .actions import PartialAction, Relation, validate_partial_action
-from .errors import DocumentError, SkewRelError, ValidationFailure
+from .errors import DocumentError, PreconditionError, SkewRelError, ValidationFailure
 from .fields import FieldSpec, PRIME_FIELD, RATIONALS
 from .funalg import FunAlgElement, InducedAlgebraAction
 from .groups import GroupSpec
@@ -32,6 +33,16 @@ def _as_document_error():
         raise
     except SkewRelError as exc:
         raise DocumentError(str(exc)) from exc
+
+
+@contextmanager
+def _printable():
+    """Report an integer too long for str() as a PreconditionError."""
+    try:
+        yield
+    except ValueError:      # Python 3.10.7 on limits int -> str conversion
+        raise PreconditionError("result has an integer of more than %d digits, too long to print"
+                                % sys.get_int_max_str_digits()) from None
 
 
 def _require_keys(obj: dict, required, optional=(), what="object"):
@@ -148,9 +159,7 @@ def parse_action_document(doc) -> tuple[FieldSpec, PartialAction]:
         action = PartialAction(group, doc["set"], maps)
     report = validate_partial_action(action)
     if not report.ok:
-        failure = ValidationFailure("; ".join(report.render()))
-        failure.report = report
-        raise failure
+        raise ValidationFailure(report)
     return field, action
 
 
@@ -198,7 +207,8 @@ def parse_skew(alpha: InducedAlgebraAction, doc) -> SkewElement:
 
 
 def skew_doc(u: SkewElement) -> list:
-    return [{"t": str(t), "coeffs": funalg_doc(a)} for t, a in u.sorted_terms()]
+    with _printable():
+        return [{"t": str(t), "coeffs": funalg_doc(a)} for t, a in u.sorted_terms()]
 
 
 def parse_rel(field: FieldSpec, rel: Relation, doc) -> RelElement:
@@ -216,14 +226,15 @@ def parse_rel(field: FieldSpec, rel: Relation, doc) -> RelElement:
 
 
 def rel_doc(f: RelElement) -> list:
-    return [{"x": x, "y": y, "value": str(f.coeffs[(x, y)])} for (x, y) in f.support()]
+    with _printable():
+        return [{"x": x, "y": y, "value": str(f.coeffs[(x, y)])} for (x, y) in f.support()]
 
 
 def load_json(path):
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, ValueError) as exc:     # ValueError: bad JSON, UTF-8 or int size
+    except (OSError, ValueError, RecursionError) as exc:   # bad JSON, UTF-8, int size or nesting
         raise DocumentError("cannot read %s: %s" % (path, exc)) from exc
 
 

@@ -15,7 +15,11 @@ class StructureError(SkewRelError):
 
 
 class ValidationFailure(SkewRelError):
-    """A candidate partial action violates one of the three axioms."""
+    """A candidate partial action violates one of the three axioms; ``report`` says where."""
+
+    def __init__(self, report):
+        super().__init__("; ".join(report.render()))
+        self.report = report
 
 
 class PreconditionError(SkewRelError):

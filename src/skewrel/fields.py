@@ -9,6 +9,7 @@ a raw value with its field, is what public constructors and documents use.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,37 +113,20 @@ class FieldSpec:
         if not _SCALAR_LITERAL.fullmatch(text):
             raise StructureError("bad scalar literal %r" % (text,))
         num, _, den = text.partition("/")
-        if den:
-            return self.from_fraction(int(num), int(den))
-        return self.from_int(int(num))
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:      # too many digits: Python 3.10.7 on limits int(str)
+            raise StructureError("scalar literal has more than %d digits"
+                                 % sys.get_int_max_str_digits()) from None
+        return self.from_fraction(num, den)
 
 
+@dataclass(frozen=True)
 class Scalar:
-    """An immutable field element: ``field`` and ``value`` are set once."""
+    """An immutable field element."""
 
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)  # Fraction (rationals) or int residue
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Scalar is immutable")
-
-    def __reduce__(self):
-        return Scalar, (self.field, self.value)
-
-    def __eq__(self, other):
-        if other.__class__ is not Scalar:
-            return NotImplemented
-        return ((self.field is other.field or self.field == other.field)
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
+    field: FieldSpec
+    value: object          # Fraction (rationals) or int residue
 
     def _new(self, value) -> "Scalar":
         m = self.field.modulus

@@ -26,17 +26,26 @@ class SparseSum:
     """A finite formal sum {basis key: nonzero coefficient} over a context.
 
     The context is the tuple of objects that fix the basis and the
-    coefficients (a carrier and a field, a relation and a field, an algebra
+    coefficients (a field and a carrier, a field and a relation, an algebra
     action). Coefficients are raw field values (see ``fields``), reduced and
-    nonzero, or nonzero F0(X) elements in the skew ring. The public
-    constructors check keys and unwrap Scalars; kernel results and the seeded
-    draws, whose keys are known to be valid, go through ``_raw`` instead.
-    Subclasses supply the product, ``scale``, the term order and ``repr``.
+    nonzero, or nonzero F0(X) elements in the skew ring. ``__init__`` is the
+    one checked constructor of the field-valued sums: the subclass hook
+    ``_checked(base, keys)`` checks the keys and returns the base, then the
+    constructor unwraps Scalars and reduces. Anything built from checked parts
+    trusts them and goes through ``_raw``, as do the seeded draws. Subclasses
+    supply the hook, the product, the term order and ``repr``.
     """
 
     coeffs: dict
     context: tuple
     mismatch: str          # the PreconditionError message for mixed contexts
+
+    field = property(lambda self: self.context[0])     # of a field-valued sum
+
+    def __init__(self, field: FieldSpec, base, coeffs=None):
+        coeffs = coeffs or {}
+        self.context = (field, self._checked(base, coeffs))
+        self.coeffs = self._reduce({k: field.unwrap(c) for k, c in coeffs.items()})
 
     @classmethod
     def _raw(cls, context: tuple, coeffs: dict):
@@ -45,6 +54,11 @@ class SparseSum:
         self.context = context
         self.coeffs = self._reduce(coeffs)
         return self
+
+    @classmethod
+    def zero(cls, *context):
+        """The zero element over the context the constructor takes."""
+        return cls(*context)
 
     def _reduce(self, coeffs: dict) -> dict:
         return self.context[0].reduce(coeffs)      # the field of a field-valued sum
@@ -74,6 +88,10 @@ class SparseSum:
     def __sub__(self, other):
         return self + (-other)
 
+    def scale(self, k: Scalar):
+        k = self.field.unwrap(k)
+        return self._like({key: k * c for key, c in self.coeffs.items()})
+
     def __eq__(self, other):
         return (isinstance(other, type(self))
                 and self.context == other.context
@@ -85,22 +103,17 @@ class FunAlgElement(SparseSum):
 
     mismatch = "elements live over different carriers or fields"
 
-    field = property(lambda self: self.context[0])
     carrier = property(lambda self: self.context[1])
 
-    def __init__(self, field: FieldSpec, carrier, coeffs=None):
+    @staticmethod
+    def _checked(carrier, points) -> Carrier:
         carrier = Carrier(carrier)
-        carrier.require(coeffs or ())
-        self.context = (field, carrier)
-        self.coeffs = self._reduce({x: field.unwrap(c) for x, c in (coeffs or {}).items()})
+        carrier.require(points)
+        return carrier
 
     @staticmethod
     def delta(field: FieldSpec, carrier, x: str) -> "FunAlgElement":
         return FunAlgElement(field, carrier, {x: field.one()})
-
-    @staticmethod
-    def zero(field: FieldSpec, carrier) -> "FunAlgElement":
-        return FunAlgElement(field, carrier)
 
     def support(self):
         return self.carrier.sort(self.coeffs)
@@ -109,10 +122,6 @@ class FunAlgElement(SparseSum):
         self._check(other)
         b = other.coeffs
         return self._like({x: c * b[x] for x, c in self.coeffs.items() if x in b})
-
-    def scale(self, k: Scalar) -> "FunAlgElement":
-        k = self.field.unwrap(k)
-        return self._like({x: k * c for x, c in self.coeffs.items()})
 
     def __repr__(self):
         if self.is_zero():

@@ -9,6 +9,7 @@ becomes a latent state.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import PreconditionError, StructureError
@@ -103,7 +104,12 @@ class GroupSpec:
             return GroupElement(self, self.names.index(text))
         if not _INTEGER_LITERAL.fullmatch(text):
             raise StructureError("bad group element literal %r" % (text,))
-        return self.element(int(text))
+        try:
+            payload = int(text)
+        except ValueError:      # too many digits: Python 3.10.7 on limits int(str)
+            raise StructureError("group element literal has more than %d digits"
+                                 % sys.get_int_max_str_digits()) from None
+        return self.element(payload)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .actions import Relation, invariant_closure, is_invariant, equivalence_classes
 from .errors import NotFreeError, PreconditionError
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec
 from .funalg import FunAlgElement, InducedAlgebraAction, SparseSum, accumulate
 from .skew import SkewElement
 
@@ -33,10 +33,12 @@ def _require_free(rel: Relation):
         raise NotFreeError("operation on F0(R) requires a free action")
 
 
-def _require_pairs(rel: Relation, pairs: dict):
+def _require_pairs(rel: Relation, pairs: dict) -> Relation:
+    """rel; raises PreconditionError naming a pair that is not in R."""
     if not pairs.keys() <= rel.pairs.keys():
         pair = next(p for p in pairs if p not in rel.pairs)
         raise PreconditionError("pair (%s, %s) is not in R" % pair)
+    return rel
 
 
 class RelElement(SparseSum):
@@ -44,29 +46,16 @@ class RelElement(SparseSum):
 
     mismatch = "elements over different relations or fields"
 
-    field = property(lambda self: self.context[0])
     relation = property(lambda self: self.context[1])
-
-    def __init__(self, field: FieldSpec, relation: Relation, coeffs=None):
-        _require_pairs(relation, coeffs or {})
-        self.context = (field, relation)
-        self.coeffs = self._reduce({p: field.unwrap(c) for p, c in (coeffs or {}).items()})
+    _checked = staticmethod(_require_pairs)
 
     @staticmethod
     def delta(field: FieldSpec, relation: Relation, x: str, y: str) -> "RelElement":
         return RelElement(field, relation, {(x, y): field.one()})
 
-    @staticmethod
-    def zero(field: FieldSpec, relation: Relation) -> "RelElement":
-        return RelElement(field, relation)
-
     def support(self):
         position = self.relation.carrier.position
         return sorted(self.coeffs, key=lambda p: (position[p[0]], position[p[1]]))
-
-    def scale(self, k: Scalar) -> "RelElement":
-        k = self.field.unwrap(k)
-        return self._like({p: k * c for p, c in self.coeffs.items()})
 
     @cached_property
     def by_first(self) -> dict:
@@ -101,8 +90,6 @@ def gamma(rel: Relation, u: SkewElement) -> RelElement:
     out: dict = {}
     for t, a in u.coeffs.items():
         h = u.action.pull_map(t)               # h_{t^-1}, defined on X_t
-        if not a.coeffs.keys() <= h.keys():
-            raise PreconditionError("skew element has a term outside its D_t")
         for x, c in a.coeffs.items():
             accumulate(out, (x, h[x]), c)
     if not out.keys() <= rel.pairs.keys():       # name the pair the term order meets first

@@ -1,6 +1,8 @@
 """The partial skew group ring F0(X) x_alpha G.
 
 Elements are finite formal sums sum_t a_t delta_t with a_t in D_t = F0(X_t).
+The public constructor checks that each a_t lies in D_t, once; sums,
+products and images are built from checked terms and trust them.
 The product extends (a_t delta_t)(b_s delta_s) = alpha_t(alpha_{t^-1}(a_t) b_s)
 delta_{ts} bilinearly. As alpha_t(f) = f o h_{t^-1}, the pullback puts a_t(x) at
 h_{t^-1}(x) and alpha_t brings the pointwise product back to x, so the product
@@ -27,12 +29,12 @@ class SkewElement(SparseSum):
 
     action = property(lambda self: self.context[0])
 
-    def __init__(self, action: InducedAlgebraAction, terms=None, check_support=True):
+    def __init__(self, action: InducedAlgebraAction, terms=None):
         context = (action.field, action.carrier)
         for t, a in (terms or {}).items():
             if a.context != context:
                 raise PreconditionError("coefficient over the wrong carrier or field")
-            if check_support and not a.coeffs.keys() <= action.domain_support(t):
+            if not a.coeffs.keys() <= action.domain_support(t):
                 outside = action.carrier.sort(a.coeffs.keys() - action.domain_support(t))
                 raise PreconditionError("a_%s has support outside X_%s at %s"
                                         % (t, t, ",".join(outside)))
@@ -45,10 +47,6 @@ class SkewElement(SparseSum):
     @property
     def terms(self) -> dict[GroupElement, FunAlgElement]:
         return self.coeffs
-
-    @staticmethod
-    def zero(action: InducedAlgebraAction) -> "SkewElement":
-        return SkewElement(action)
 
     @staticmethod
     def monomial(action: InducedAlgebraAction, x: str, t: GroupElement) -> "SkewElement":
@@ -75,9 +73,6 @@ class SkewElement(SparseSum):
         out: dict = {}                                 # ts -> {x: raw value}
         for t, a in self.coeffs.items():
             h = alpha.pull_map(t)                      # h_{t^-1}, defined on X_t
-            if not a.coeffs.keys() <= h.keys():        # a_t leaves X_t: alpha.apply raises,
-                for r, f in self.sorted_terms():       # at the first such term in term order
-                    alpha.apply(r.inverse(), f)
             for s, b in right:
                 if values := [(x, c * b[h[x]]) for x, c in a.coeffs.items() if h[x] in b]:
                     term = out.setdefault(t * s, {})

@@ -157,7 +157,15 @@ class TestCommands:
       # Past Python's 4 300-digit int limit, and not UTF-8: json.load raises ValueError.
       + [pytest.param(json.dumps(E1_DOC).replace('"n": 2', '"n": 1' + "0" * 4999).encode(),
                       None, None, id="n-of-5000-digits"),
-         pytest.param(b"\xff", None, None, id="byte-0xff")])
+         pytest.param(b"\xff", None, None, id="byte-0xff"),
+         pytest.param(E1_DOC, "rel", [{"x": "a", "y": "b", "value": "9" * 5000}],
+                      id="scalar-of-5000-digits"),
+         pytest.param(dict(E1_DOC, maps=[{"t": "1" * 5000, "pairs": [["a", "b"], ["b", "a"]]}]),
+                      None, None, id="t-of-5000-digits")]
+      # json.load raises RecursionError.
+      + [pytest.param(b"[" * 200000 + b"]" * 200000, None, None, id="action-nested-200000-deep"),
+         pytest.param(E1_DOC, "rel", b"[" * 200000 + b"]" * 200000,
+                      id="element-nested-200000-deep")])
     def test_malformed_document_exit_3(self, tmp_path, capsys, doc, algebra, element):
         action = write(tmp_path, "action.json", doc)
         if algebra is None:
@@ -278,6 +286,26 @@ class TestCommands:
         rhs = write(tmp_path, "rhs.json", [])
         code, _out, err = run(capsys, "mul", "--algebra", "skew", action, lhs, rhs)
         assert code == 3 and "support" in err
+
+    @pytest.mark.parametrize("algebra, element", [
+        ("rel", lambda value: [{"x": "a", "y": "a", "value": value}]),
+        ("skew", lambda value: [{"t": "0", "coeffs": {"a": value}}]),
+    ], ids=["rel", "skew"])
+    def test_product_past_the_digit_limit_exit_1(self, tmp_path, capsys, algebra, element):
+        # Python 3.10.7 on refuses str() of an int of more than 4 300 digits.
+        action = write(tmp_path, "e1.json", E1_DOC)
+        elem = write(tmp_path, "elem.json", element("1" * 3000))
+        code, out, err = run(capsys, "mul", "--algebra", algebra, action, elem, elem)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "too long to print" in err
+
+    def test_product_of_2000_digits_prints_exactly(self, tmp_path, capsys):
+        action = write(tmp_path, "e1.json", E1_DOC)
+        elem = write(tmp_path, "elem.json", [{"x": "a", "y": "a", "value": "1" * 1000}])
+        code, out, _ = run(capsys, "mul", "--algebra", "rel", action, elem, elem)
+        assert code == 0
+        assert json.loads(out)["product"] == [{"x": "a", "y": "a",
+                                               "value": str(int("1" * 1000) ** 2)}]
 
     def test_gamma_round_trip_byte_exact(self, tmp_path, capsys):
         action = write(tmp_path, "e2.json", E2_DOC)

@@ -280,14 +280,6 @@ class TestGamma:
             f = random_rel(rng, field, rel)
             assert gamma(rel, gamma_inv(alpha, f)) == f
 
-    def test_term_outside_its_domain_rejected(self, e1):
-        action, rel, alpha = e1
-        q = {x: FunAlgElement.delta(Q, alpha.carrier, x) for x in alpha.carrier}
-        bad = SkewElement(alpha, {action.identity: q["a"], action.group.element(1): q["c"]},
-                          check_support=False)
-        with pytest.raises(PreconditionError, match=r"^skew element has a term outside its D_t$"):
-            gamma(rel, bad)
-
     def test_relation_of_another_action_names_the_first_pair_in_term_order(self, e2):
         action, _rel, alpha = e2
         diagonal = build_relation(PartialAction(GroupSpec.cyclic(1), action.carrier, {}))

@@ -114,9 +114,8 @@ class TestValidation:
     def test_unsupported_term_detected(self):
         alpha = e1_alpha()
         g = alpha.action.group.element(1)
-        bad = SkewElement(
-            alpha, {g: FunAlgElement.delta(Q, alpha.carrier, "c")},
-            check_support=False)
+        # Only _raw, which kernel results go through, can build it.
+        bad = SkewElement._raw((alpha,), {g: FunAlgElement.delta(Q, alpha.carrier, "c")})
         assert not bad.validate()
         with pytest.raises(PreconditionError):
             SkewElement(alpha, {g: FunAlgElement.delta(Q, alpha.carrier, "c")})
@@ -236,21 +235,6 @@ class TestFusedProduct:
         v = SkewElement(alpha, {e: f, g: f.scale(F5.from_int(-1))})
         assert u * v == reference_product(u, v)
         assert_reduced(u * v)
-
-    def test_support_outside_x_t_raises_as_before(self):
-        alpha = e2_alpha()
-        z = alpha.action.group
-        q = {x: FunAlgElement.delta(Q, alpha.carrier, x) for x in alpha.carrier}
-        # X_1 = {2, 3} and X_2 = {3}; both terms leave them, and the term stored
-        # first is not the first in term order.
-        bad = SkewElement(alpha, {z.element(2): q["1"] + q["2"], z.element(1): q["1"]},
-                          check_support=False)
-        for v in (SkewElement.zero(alpha), SkewElement.one(alpha)):
-            with pytest.raises(PreconditionError) as expected:
-                reference_product(bad, v)
-            with pytest.raises(PreconditionError) as fused:
-                bad * v
-            assert str(fused.value) == str(expected.value) == "support escapes X_{t^-1} at 1"
 
     def test_constructor_names_the_points_outside_x_t(self):
         alpha = e2_alpha()
