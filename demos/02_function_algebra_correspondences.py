@@ -40,7 +40,7 @@ alpha = induce_algebra_action(Q, theta)
 g = theta.group.element(1)
 print("alpha_g(delta_a) =", alpha.apply(g, FunAlgElement.delta(Q, theta.carrier, "a")))
 
-family = {t: (theta.sort_labels(theta.subset(t)), alpha.as_linear_map(t))
+family = {t: (theta.domains[t], alpha.as_linear_map(t))
           for t in theta.listed()}
 print("round trip recovers theta:",
       recover_set_action(Q, theta.group, theta.carrier, family) == theta)

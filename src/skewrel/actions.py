@@ -11,6 +11,11 @@ Axiom (1) is unforgeable here: h_e is implicit and always the full identity.
 The stored entry for t is h_t, given as pairs (x, h_t(x)); an inverse entry
 h_{t^-1} is synthesized when missing. Unlisted group elements have empty X_t.
 
+Every reader above the validator uses two tables built once per action, for e
+and each listed t: ``pulls[t]``, h_{t^-1} as a dict on X_t, and ``domains[t]``,
+X_t in carrier order. Their X_t, the domain of h_{t^-1}, is the codomain of h_t
+only in a coherent action, so ``validate_partial_action`` reads the stored maps.
+
 From a validated action we build the equivalence relation R of pairs
 (x, h_t(x)), each pair carrying its group witnesses. For free actions the
 witness is unique, which is what the relation-algebra layer relies on. The
@@ -87,6 +92,11 @@ class PartialAction:
             if ti not in normalized:
                 normalized[ti] = {y: x for x, y in normalized[t].items()}
         self.maps = normalized
+        # h_{t^-1}, keyed by t, and X_t: e first, then the listed t in order.
+        self.pulls = {e: {x: x for x in self.carrier}}
+        for t in sorted(normalized, key=GroupElement.sort_key):
+            self.pulls[t] = normalized[t.inverse()]
+        self.domains = {t: tuple(self.carrier.sort(h)) for t, h in self.pulls.items()}
 
     @property
     def identity(self) -> GroupElement:
@@ -94,7 +104,7 @@ class PartialAction:
 
     def listed(self):
         """Non-identity elements with nonempty maps, in deterministic order."""
-        return sorted(self.maps, key=GroupElement.sort_key)
+        return list(self.domains)[1:]
 
     def subset(self, t: GroupElement):
         """X_t, the codomain of h_t, as a set of labels."""
@@ -112,9 +122,6 @@ class PartialAction:
         if entry is None or x not in entry:
             raise PreconditionError("%s is not in the domain of h_%s" % (x, t))
         return entry[x]
-
-    def sort_labels(self, labels):
-        return self.carrier.sort(labels)
 
     def check_elements(self):
         """Group elements over which the axioms are verified: the closure set
@@ -173,7 +180,7 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
         dom = set(pa.maps[t])
         expected = pa.subset(t.inverse())
         if dom != expected:
-            diff = pa.sort_labels(dom ^ expected)
+            diff = pa.carrier.sort(dom ^ expected)
             report.violations.append(Violation(
                 "domain", t, None,
                 "domain of h_%s is %s but X_%s is %s (differ at {%s})"
@@ -195,9 +202,9 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
                 report.violations.append(Violation(
                     "2", t, s,
                     "h_t(X_{t^-1} & X_s) = {%s} but X_t & X_{ts} = {%s}"
-                    % (",".join(pa.sort_labels(lhs)), ",".join(pa.sort_labels(rhs)))))
+                    % (",".join(pa.carrier.sort(lhs)), ",".join(pa.carrier.sort(rhs)))))
             # (3) h_t(h_s(x)) = h_{ts}(x) on X_{s^-1} & X_{(ts)^-1}
-            for x in pa.sort_labels(pa.subset(s.inverse()) & pa.subset(ts.inverse())):
+            for x in pa.carrier.sort(pa.subset(s.inverse()) & pa.subset(ts.inverse())):
                 y = pa.apply(s, x)
                 if y not in pa.subset(t.inverse()):
                     report.violations.append(Violation(
@@ -220,7 +227,7 @@ class FreenessReport:
 def check_free(pa: PartialAction) -> FreenessReport:
     """Free means h_t(x) = x forces t = e."""
     for t in pa.listed():
-        for x in pa.sort_labels(pa.maps[t]):
+        for x in pa.domains[t.inverse()]:
             if pa.maps[t][x] == x:
                 return FreenessReport(False, (t, x))
     return FreenessReport(True)
@@ -290,9 +297,9 @@ def build_relation(pa: PartialAction) -> Relation:
     pairs: dict[tuple[str, str], list[GroupElement]] = {}
     for x in pa.carrier:
         pairs[(x, x)] = [pa.identity]
-    for t in pa.listed():
-        for x in pa.sort_labels(pa.maps[t]):
-            pairs.setdefault((x, pa.maps[t][x]), []).append(t)
+    for t, h in pa.maps.items():
+        for x, y in h.items():
+            pairs.setdefault((x, y), []).append(t)
     return Relation(pa.carrier, pairs, action=pa)
 
 

@@ -90,17 +90,16 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_mul(args) -> int:
+    if args.algebra == "rel":
+        field, _action, rel = _free_relation(args.action)
+        lhs = parse_rel(field, rel, load_json(args.lhs))
+        rhs = parse_rel(field, rel, load_json(args.rhs))
+        return _emit({"command": "mul", "algebra": "rel", "product": rel_doc(lhs * rhs)})
     field, action = load_action(args.action)
     alpha = InducedAlgebraAction(field, action, validate=False)
-    if args.algebra == "skew":
-        lhs = parse_skew(alpha, load_json(args.lhs))
-        rhs = parse_skew(alpha, load_json(args.rhs))
-        return _emit({"command": "mul", "algebra": "skew",
-                      "product": skew_doc(lhs * rhs)})
-    rel = build_relation(action)
-    lhs = parse_rel(field, rel, load_json(args.lhs))
-    rhs = parse_rel(field, rel, load_json(args.rhs))
-    return _emit({"command": "mul", "algebra": "rel", "product": rel_doc(lhs * rhs)})
+    lhs = parse_skew(alpha, load_json(args.lhs))
+    rhs = parse_skew(alpha, load_json(args.rhs))
+    return _emit({"command": "mul", "algebra": "skew", "product": skew_doc(lhs * rhs)})
 
 
 def cmd_gamma(args) -> int:

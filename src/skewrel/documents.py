@@ -85,6 +85,7 @@ def parse_field(obj) -> FieldSpec:
     _require_keys(obj, ["kind"], ["modulus"], "field")
     with _as_document_error():
         if obj["kind"] == RATIONALS:
+            _require_keys(obj, ["kind"], (), "rationals field")
             return FieldSpec(RATIONALS)
         if obj["kind"] == PRIME_FIELD:
             return FieldSpec(PRIME_FIELD, _integer(obj.get("modulus"), "modulus"))
@@ -159,7 +160,8 @@ def parse_action_document(doc) -> tuple[FieldSpec, PartialAction]:
         action = PartialAction(group, doc["set"], maps)
     report = validate_partial_action(action)
     if not report.ok:
-        raise ValidationFailure(report)
+        with _printable():      # the report names group elements
+            raise ValidationFailure(report)
     return field, action
 
 
@@ -174,7 +176,7 @@ def action_doc(field: FieldSpec, action: PartialAction) -> dict:
         "set": list(action.carrier),
         "maps": [
             {"t": str(t),
-             "pairs": [[x, action.maps[t][x]] for x in action.sort_labels(action.maps[t])]}
+             "pairs": [[x, action.maps[t][x]] for x in action.domains[t.inverse()]]}
             for t in action.listed()
         ],
     }

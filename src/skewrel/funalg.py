@@ -5,6 +5,10 @@ carrier exactly: nonzero homomorphisms to K are point evaluations, algebra
 isomorphisms F0(Y) -> F0(X) come from bijections X -> Y, ideals are F0(A) for
 subsets A, and partial actions on the carrier induce partial actions on the
 algebra via alpha_t(f) = f o h_{t^-1} (and conversely).
+
+The induced action keeps no copy of the action's tables ``pulls`` (h_{t^-1} on
+X_t) and ``domains`` (X_t), and alpha_t is psi of h_{t^-1}. The tables assume a
+coherent action, so the validator reads the stored maps instead.
 """
 
 from __future__ import annotations
@@ -257,33 +261,16 @@ class InducedAlgebraAction:
         self.field = field
         self.action = action
         self.carrier = action.carrier
-        # h_t for e and each listed t, and the same maps keyed by t^-1: h_{t^-1},
-        # whose domain is X_t in a valid action. Every other t has empty maps.
-        self._maps = {action.identity: {x: x for x in self.carrier}, **action.maps}
-        self._pulls = {t.inverse(): h for t, h in self._maps.items()}
-        self._labels = None
 
     def pull_map(self, t: GroupElement) -> dict:
         """h_{t^-1} as a read-only dict on X_t, keyed by t: no inverse to form."""
-        return self._pulls.get(t, {})
-
-    def domain_support(self, t: GroupElement):
-        """Support set of D_t, i.e. X_t, as a read-only view."""
-        return self.pull_map(t).keys()
-
-    def domain_labels(self) -> dict:
-        """{t: X_t in carrier order} for e, then each listed t; built once."""
-        if self._labels is None:
-            action = self.action
-            self._labels = {t: tuple(action.sort_labels(action.subset(t)))
-                            for t in [action.identity] + action.listed()}
-        return self._labels
+        return self.action.pulls.get(t, {})
 
     def apply(self, t: GroupElement, f: FunAlgElement) -> FunAlgElement:
         """alpha_t(f) = f o h_{t^-1}; requires support(f) within X_{t^-1}."""
         if f.context != (self.field, self.carrier):
             raise PreconditionError("element lives over the wrong carrier or field")
-        h_t = self._maps.get(t, {})
+        h_t = self.pull_map(t.inverse())
         outside = [x for x in f.coeffs if x not in h_t]
         if outside:
             raise PreconditionError(
@@ -291,12 +278,10 @@ class InducedAlgebraAction:
         return f._like({h_t[x]: c for x, c in f.coeffs.items()})
 
     def as_linear_map(self, t: GroupElement) -> LinearMapOnBasis:
-        """alpha_t as a basis map F0(X_{t^-1}) -> F0(X_t) over subcarriers."""
-        source = self.action.sort_labels(self.action.subset(t.inverse()))
-        target = Carrier(self.action.sort_labels(self.action.subset(t)))
-        columns = {x: FunAlgElement.delta(self.field, target, self.action.apply(t, x))
-                   for x in source}
-        return LinearMapOnBasis(self.field, source, target, columns)
+        """alpha_t as a basis map F0(X_{t^-1}) -> F0(X_t) over subcarriers: psi of h_{t^-1}."""
+        domains = self.action.domains
+        return psi_from_bijection(self.field, self.pull_map(t),
+                                  domains.get(t.inverse(), ()), domains.get(t, ()))
 
     def __eq__(self, other):
         return (isinstance(other, InducedAlgebraAction)

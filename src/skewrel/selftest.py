@@ -76,7 +76,7 @@ def random_funalg(rng, field, carrier, allowed=None) -> FunAlgElement:
 
 
 def random_skew(rng, alpha: InducedAlgebraAction) -> SkewElement:
-    domains = alpha.domain_labels()
+    domains = alpha.action.domains
     ts = list(domains)
     count = rng.randint(0, len(ts))
     terms = {}
@@ -201,7 +201,7 @@ def suite_ideals(rng, trials, bundles) -> SuiteResult:
 def suite_round_trips(bundles) -> SuiteResult:
     suite = SuiteResult("round-trips")
     for name, fld, action, _rel, alpha in bundles:
-        family = {t: (action.sort_labels(action.subset(t)), alpha.as_linear_map(t))
+        family = {t: (action.domains[t], alpha.as_linear_map(t))
                   for t in action.listed()}
         try:
             back = recover_set_action(fld, action.group, action.carrier, family)

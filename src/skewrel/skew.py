@@ -34,8 +34,9 @@ class SkewElement(SparseSum):
         for t, a in (terms or {}).items():
             if a.context != context:
                 raise PreconditionError("coefficient over the wrong carrier or field")
-            if not a.coeffs.keys() <= action.domain_support(t):
-                outside = action.carrier.sort(a.coeffs.keys() - action.domain_support(t))
+            x_t = action.pull_map(t).keys()
+            if not a.coeffs.keys() <= x_t:
+                outside = action.carrier.sort(a.coeffs.keys() - x_t)
                 raise PreconditionError("a_%s has support outside X_%s at %s"
                                         % (t, t, ",".join(outside)))
         self.context = (action,)
@@ -83,7 +84,7 @@ class SkewElement(SparseSum):
 
     def validate(self) -> bool:
         """True iff every stored a_t is supported inside X_t."""
-        return all(a.coeffs.keys() <= self.action.domain_support(t)
+        return all(a.coeffs.keys() <= self.action.pull_map(t).keys()
                    for t, a in self.coeffs.items())
 
     def __repr__(self):

@@ -269,6 +269,39 @@ class TestCheckElements:
         assert [t.payload for t in pa.check_elements()] == [0, -2, -1, 1, 2]
 
 
+class TestTables:
+    def test_tables_read_the_maps_of_every_valid_action(self):
+        rng = random.Random(12)
+        names, table = s3_table_from_permutations()
+        groups = [GroupSpec.cyclic(n) for n in range(1, 10)]
+        groups.append(GroupSpec.from_table(names, "e", table))
+        valid = 0
+        for trial in range(1500):
+            pa = random_partial_action(rng, groups[trial % len(groups)])
+            assert pa.listed() == sorted(pa.maps, key=GroupElement.sort_key)
+            assert list(pa.domains) == list(pa.pulls) == [pa.identity] + pa.listed()
+            if not validate_partial_action(pa).ok:
+                continue
+            valid += 1
+            for t in pa.check_elements():
+                assert list(pa.domains.get(t, ())) == pa.carrier.sort(pa.subset(t))
+                assert pa.pulls.get(t, {}) == {x: pa.apply(t.inverse(), x)
+                                               for x in pa.subset(t)}
+        assert valid > 200
+
+    def test_incoherent_action_keeps_its_domain_violations(self):
+        # The tables take X_1 as the domain of h_3; only the validator's own
+        # reading of the stored maps finds that it is not the codomain of h_1.
+        z4 = GroupSpec.cyclic(4)
+        pa = PartialAction(z4, ["a", "b", "c"], {z4.element(1): {"a": "b", "c": "a"},
+                                                 z4.element(3): {"a": "b"}})
+        assert pa.domains[z4.element(1)] == ("a",)
+        assert validate_partial_action(pa).render() == [
+            "axiom domain at t=1: domain of h_1 is ['a', 'c'] but X_3 is ['b'] "
+            "(differ at {a,b,c})",
+            "axiom domain at t=3: domain of h_3 is ['a'] but X_1 is ['a', 'b'] (differ at {b})"]
+
+
 def triple_scan_equivalence(rel):
     """Reference: reflexivity and symmetry pair by pair, then transitivity and,
     for a free relation with an action, w(x, z) = w(y, z) w(x, y) over every

@@ -133,6 +133,8 @@ class TestCommands:
         (dict(E1_DOC, group={"kind": "cyclic", "n": 2.5}), None, None),
         (dict(E1_DOC, group={"kind": "cyclic", "n": True}, maps=[]), None, None),
         (dict(E1_DOC, field={"kind": "prime-field", "modulus": "7"}), None, None),
+        (dict(E1_DOC, field={"kind": "rationals", "modulus": 5}), None, None),
+        (dict(E1_DOC, field={"kind": "rationals", "modulus": None}), None, None),
         (dict(E1_DOC, field={"kind": "prime-field",
                              "modulus": 318665857834031151167461}), None, None),
         (dict(E1_DOC, maps=[{"t": [1], "pairs": [["a", "b"], ["b", "a"]]}]), None, None),
@@ -223,6 +225,13 @@ class TestCommands:
         assert code == 1
         assert "fixes c" in err
 
+    def test_mul_rel_refuses_non_free_like_relation(self, tmp_path, capsys):
+        doc = dict(E1_DOC, maps=[{"t": "1", "pairs": [["a", "b"], ["b", "a"], ["c", "c"]]}])
+        elem = write(tmp_path, "elem.json", [{"x": "a", "y": "b", "value": "1"}])
+        code, out, err = run(capsys, "mul", "--algebra", "rel",
+                             write(tmp_path, "nf.json", doc), elem, elem)
+        assert (code, out, err) == (1, "", "action is not free: h_1 fixes c\n")
+
     def test_ideals(self, tmp_path, capsys):
         code, out, _ = run(capsys, "ideals", write(tmp_path, "e1.json", E1_DOC))
         doc = json.loads(out)
@@ -296,6 +305,13 @@ class TestCommands:
         action = write(tmp_path, "e1.json", E1_DOC)
         elem = write(tmp_path, "elem.json", element("1" * 3000))
         code, out, err = run(capsys, "mul", "--algebra", algebra, action, elem, elem)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "too long to print" in err
+
+    def test_violation_past_the_digit_limit_exit_1(self, tmp_path, capsys):
+        # h_t of E2 without h_2 breaks the axioms; the violations name -2t, of 4 301 digits.
+        doc = dict(E2_DOC, maps=[{"t": "9" * 4300, "pairs": [["1", "2"], ["2", "3"]]}])
+        code, out, err = run(capsys, "validate", write(tmp_path, "big.json", doc))
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and "too long to print" in err
 

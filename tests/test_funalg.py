@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from skewrel.actions import Carrier
 from skewrel.errors import PreconditionError
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
 from skewrel.fixtures import e1_action, e2_action
@@ -11,6 +12,8 @@ from skewrel.funalg import (FunAlgElement, InducedAlgebraAction, LinearMapOnBasi
                             bijection_from_isomorphism, classify_linear_functional,
                             induce_algebra_action, psi_from_bijection,
                             recover_set_action, subset_of_ideal)
+
+from test_skew import cyclic_action
 
 Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)
@@ -245,10 +248,37 @@ class TestInducedAction:
                             alpha.apply(t * s, f)
 
 
+def hand_built_linear_map(alpha, t):
+    """Reference alpha_t: the column of x in X_{t^-1} is delta_{h_t(x)} in F0(X_t)."""
+    pa = alpha.action
+    source = pa.carrier.sort(pa.subset(t.inverse()))
+    target = Carrier(pa.carrier.sort(pa.subset(t)))
+    columns = {x: FunAlgElement.delta(alpha.field, target, pa.apply(t, x)) for x in source}
+    return LinearMapOnBasis(alpha.field, source, target, columns)
+
+
+class TestActionTables:
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    def test_as_linear_map_is_the_hand_built_map(self, field):
+        empty = 0
+        for pa in (e1_action(), e2_action(), cyclic_action(8, 4)):
+            alpha = InducedAlgebraAction(field, pa)
+            for t in pa.check_elements():
+                assert alpha.as_linear_map(t) == hand_built_linear_map(alpha, t)
+                empty += not pa.subset(t)
+        assert empty       # E2 has t with empty X_t
+
+    def test_one_copy_per_action(self):
+        for pa in (e1_action(), e2_action(), cyclic_action(8, 4)):
+            alpha = InducedAlgebraAction(Q, pa)
+            for t in pa.pulls:
+                assert alpha.pull_map(t) is alpha.action.pulls[t]
+
+
 class TestRecovery:
     def _family(self, field, pa):
         alpha = InducedAlgebraAction(field, pa, validate=False)
-        return {t: (pa.sort_labels(pa.subset(t)), alpha.as_linear_map(t))
+        return {t: (pa.domains[t], alpha.as_linear_map(t))
                 for t in pa.listed()}
 
     def test_round_trip_e1(self):

@@ -52,7 +52,7 @@ def reference_funalg(rng, field, carrier, allowed=None):
 
 
 def reference_skew(rng, alpha):
-    domains = alpha.domain_labels()
+    domains = alpha.action.domains
     ts = list(domains)
     terms = {t: reference_funalg(rng, alpha.field, alpha.carrier, domains[t])
              for t in rng.sample(ts, rng.randint(0, len(ts)))}
@@ -70,7 +70,7 @@ def reference_rel(rng, field, rel):
                          ids=["E1", "E2", "cyc-8-4"])
 def test_raw_draws_match_the_constructor_draws(field, make_action):
     _, rel, alpha = fixture_bundle(field, make_action())
-    domains = alpha.domain_labels()
+    domains = alpha.action.domains
     ts = list(domains)
     raw, reference = random.Random(13), random.Random(13)
     for i in range(40):
