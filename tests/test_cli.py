@@ -133,8 +133,6 @@ class TestCommands:
         (dict(E1_DOC, group={"kind": "cyclic", "n": 2.5}), None, None),
         (dict(E1_DOC, group={"kind": "cyclic", "n": True}, maps=[]), None, None),
         (dict(E1_DOC, field={"kind": "prime-field", "modulus": "7"}), None, None),
-        (dict(E1_DOC, field={"kind": "rationals", "modulus": 5}), None, None),
-        (dict(E1_DOC, field={"kind": "rationals", "modulus": None}), None, None),
         (dict(E1_DOC, field={"kind": "prime-field",
                              "modulus": 318665857834031151167461}), None, None),
         (dict(E1_DOC, maps=[{"t": [1], "pairs": [["a", "b"], ["b", "a"]]}]), None, None),
@@ -167,7 +165,12 @@ class TestCommands:
       # json.load raises RecursionError.
       + [pytest.param(b"[" * 200000 + b"]" * 200000, None, None, id="action-nested-200000-deep"),
          pytest.param(E1_DOC, "rel", b"[" * 200000 + b"]" * 200000,
-                      id="element-nested-200000-deep")])
+                      id="element-nested-200000-deep")]
+      # A rationals field takes no modulus key.
+      + [pytest.param(dict(E1_DOC, field={"kind": "rationals", "modulus": 5}), None, None,
+                      id="rationals-modulus-5"),
+         pytest.param(dict(E1_DOC, field={"kind": "rationals", "modulus": None}), None, None,
+                      id="rationals-modulus-null")])
     def test_malformed_document_exit_3(self, tmp_path, capsys, doc, algebra, element):
         action = write(tmp_path, "action.json", doc)
         if algebra is None:
