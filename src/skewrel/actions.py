@@ -189,12 +189,19 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     if not coherent:
         return report
 
+    # X_u is nonempty only for u in base, and every side of (2) and (3) meets
+    # two of X_t, X_s, X_ts or their inverses: pairs with fewer than two of
+    # t, s, ts in base compare only empty sets.
+    base = set(pa.maps) | {pa.identity}
     for t in elems:
+        t_in_base = t in base
         x_t = pa.subset(t)
         x_tinv = pa.subset(t.inverse())
         for s in elems:
-            x_s = pa.subset(s)
             ts = t * s
+            if t_in_base + (s in base) + (ts in base) < 2:
+                continue
+            x_s = pa.subset(s)
             # (2) h_t(X_{t^-1} & X_s) = X_t & X_{ts}
             lhs = {pa.apply(t, x) for x in x_tinv & x_s}
             rhs = x_t & pa.subset(ts)

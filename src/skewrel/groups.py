@@ -4,6 +4,9 @@ Cyclic groups Z_n, the integers (Z, +), and arbitrary finite groups given by
 a Cayley table. Table groups are checked eagerly: closure, associativity,
 identity and inverses are verified at construction, so a bad table never
 becomes a latent state.
+
+Specs and elements compute their hashes once, at construction. Copies and
+pickles go through the constructors, since string hashes differ per process.
 """
 
 from __future__ import annotations
@@ -29,6 +32,21 @@ class GroupSpec:
     names: tuple[str, ...] | None = None           # table only
     identity_index: int | None = None              # table only
     table: tuple[tuple[int, ...], ...] | None = None  # table: table[i][j] = index of names[i]*names[j]
+
+    def __post_init__(self):
+        fields = (self.kind, self.order, self.names, self.identity_index, self.table)
+        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "_hash", hash(fields))
+        object.__setattr__(self, "_identity", GroupElement(self, self.identity_index or 0))
+        if self.kind == TABLE:
+            object.__setattr__(self, "inverses",
+                               tuple(row.index(self.identity_index) for row in self.table))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GroupSpec, self._fields
 
     @staticmethod
     def cyclic(n: int) -> "GroupSpec":
@@ -78,9 +96,7 @@ class GroupSpec:
         return GroupSpec(TABLE, names=names, identity_index=e, table=tab)
 
     def identity(self) -> "GroupElement":
-        if self.kind == TABLE:
-            return GroupElement(self, self.identity_index)
-        return GroupElement(self, 0)
+        return self._identity
 
     def element(self, payload: int) -> "GroupElement":
         if self.kind == CYCLIC:
@@ -112,13 +128,35 @@ class GroupSpec:
         return self.element(payload)
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    spec: GroupSpec
-    payload: int
+    """An immutable group element: its group's spec and an int payload."""
+
+    __slots__ = ("spec", "payload", "_hash")
+
+    def __init__(self, spec: GroupSpec, payload: int):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "_hash", hash((spec, payload)))
+
+    def _immutable(self, *args):
+        raise AttributeError("GroupElement is immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return GroupElement, (self.spec, self.payload)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        return (self.payload == other.payload
+                and (self.spec is other.spec or self.spec == other.spec))
 
     def _check(self, other: "GroupElement"):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise PreconditionError("group elements from different groups")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
@@ -134,7 +172,7 @@ class GroupElement:
             return GroupElement(self.spec, (-self.payload) % self.spec.order)
         if self.spec.kind == INTEGERS:
             return GroupElement(self.spec, -self.payload)
-        return GroupElement(self.spec, self.spec.table[self.payload].index(self.spec.identity_index))
+        return GroupElement(self.spec, self.spec.inverses[self.payload])
 
     def is_identity(self) -> bool:
         return self == self.spec.identity()

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from skewrel.actions import (Carrier, PartialAction, Relation, build_relation, check_free,
-                             enumerate_invariant_subsets, equivalence_classes,
+from skewrel.actions import (Carrier, PartialAction, Relation, Violation, build_relation,
+                             check_free, enumerate_invariant_subsets, equivalence_classes,
                              invariant_closure, is_invariant,
                              validate_partial_action, verify_equivalence, witness)
 from skewrel.errors import PreconditionError, StructureError
@@ -218,23 +218,63 @@ class TestCarrier:
             assert twin.position == {"x": 0, "y": 1}
 
 
-def full_group_report(pa):
-    """Reference: validate over every element of a finite group."""
-    pa.check_elements = lambda: sorted(pa.group.elements(), key=GroupElement.sort_key)
-    return validate_partial_action(pa)
+def reference_report(pa, elems):
+    """Reference: the domain check, then axioms (2) and (3) over every (t, s) of
+    elems with no pair skipped, read straight off ``pa.maps``; the violation
+    texts as the validator renders them."""
+    e, carrier = pa.identity, list(pa.carrier)
+
+    def X(t):
+        return set(carrier) if t == e else set(pa.maps.get(t, {}).values())
+
+    def h(t, x):
+        return x if t == e else pa.maps[t][x]
+
+    def labels(xs):
+        return ",".join(sorted(xs, key=carrier.index))
+
+    found = []
+    for t in sorted(pa.maps, key=GroupElement.sort_key):
+        dom, expected = set(pa.maps[t]), X(t.inverse())
+        if dom != expected:
+            found.append(Violation(
+                "domain", t, None, "domain of h_%s is %s but X_%s is %s (differ at {%s})"
+                % (t, sorted(dom), t.inverse(), sorted(expected), labels(dom ^ expected))))
+    if found:
+        return [v.render() for v in found]
+    for t, s in itertools.product(elems, repeat=2):
+        ts = t * s
+        lhs = {h(t, x) for x in X(t.inverse()) & X(s)}
+        rhs = X(t) & X(ts)
+        if lhs != rhs:
+            found.append(Violation("2", t, s, "h_t(X_{t^-1} & X_s) = {%s} but X_t & X_{ts} = {%s}"
+                                   % (labels(lhs), labels(rhs))))
+        for x in sorted(X(s.inverse()) & X(ts.inverse()), key=carrier.index):
+            y = h(s, x)
+            if y not in X(t.inverse()):
+                found.append(Violation("3", t, s, "h_s(%s)=%s escapes the domain of h_t" % (x, y)))
+            elif h(t, y) != h(ts, x):
+                found.append(Violation("3", t, s, "h_t(h_s(%s))=%s but h_{ts}(%s)=%s"
+                                       % (x, h(t, y), x, h(ts, x))))
+    return [v.render() for v in found]
 
 
 def random_partial_action(rng, group):
-    """A partial action of a finite group on at most 4 points, often invalid.
+    """A partial action on at most 4 points, often invalid.
 
     Half the time it is a restriction of the action of the group on itself by
     left multiplication, which is valid; otherwise random partial injections
     for some elements, with an explicit and usually inconsistent inverse now
-    and then.
+    and then. The integers use the elements -4..4, and their restriction the
+    points 0..4, so that every difference of two points is among them.
     """
-    elements = group.elements()
+    if group.kind == "integers":
+        elements = [group.element(k) for k in range(-4, 5)]
+        places = elements[4:]
+    else:
+        elements = places = group.elements()
     if rng.random() < 0.5:
-        points = rng.sample(elements, min(len(elements), rng.randint(0, 4)))
+        points = rng.sample(places, min(len(places), rng.randint(0, 4)))
         maps = {t: {str(x): str(t * x) for x in points if t * x in points}
                 for t in elements if not t.is_identity()}
         return PartialAction(group, [str(x) for x in points], maps)
@@ -257,11 +297,27 @@ class TestCheckElements:
         groups.append(GroupSpec.from_table(names, "e", table))
         failing = 0
         for trial in range(1500):
-            pa = random_partial_action(rng, groups[trial % len(groups)])
+            group = groups[trial % len(groups)]
+            pa = random_partial_action(rng, group)
             got = validate_partial_action(pa).render()
-            assert got == full_group_report(pa).render()
+            assert got == reference_report(pa, sorted(group.elements(), key=GroupElement.sort_key))
             failing += bool(got)
         assert 200 < failing < 1300     # both valid and invalid actions were compared
+
+    def test_integers_match_the_reference_over_a_window(self):
+        # The closure set of listed elements up to m in absolute value lies
+        # within |t| <= 2m; the reference checks every pair of that window.
+        rng = random.Random(6)
+        z = GroupSpec.integers()
+        failing = 0
+        for _ in range(600):
+            pa = random_partial_action(rng, z)
+            m = max((abs(t.payload) for t in pa.maps), default=0)
+            window = sorted(map(z.element, range(-2 * m, 2 * m + 1)), key=GroupElement.sort_key)
+            got = validate_partial_action(pa).render()
+            assert got == reference_report(pa, window)
+            failing += bool(got)
+        assert 100 < failing < 500      # both valid and invalid actions were compared
 
     def test_integers_use_the_closure_set(self):
         z = GroupSpec.integers()

@@ -22,6 +22,14 @@ E1_GF7 = os.path.join(ROOT, "tests", "data", "e1-gf7.json")
 Z3_SIX = os.path.join(ROOT, "tests", "data", "z3-six-classes.json")
 # bench/gen.py's cyc(8, 12, random.Random(1)): Z_8 on 12 orbits, 96 shuffled points.
 CYC_8_12 = os.path.join(ROOT, "tests", "data", "cyc-8-12.json")
+# Broken actions, each reported with exit 1. On the integers chain, h_2 sends 4
+# to 1 instead of 6, and some violations sit at unlisted t of the closure set
+# (t = -7, -6, 6, 7). The Z_12 action on {0, 1, 3, 4, 8} by translation has
+# lost the pair 1 -> 4 of h_3. The S3 table group acts on three of its own
+# elements, with an explicit h_(132) that swaps two images of h_(123)^-1.
+BROKEN = {name: os.path.join(ROOT, "tests", "data", name + ".json")
+          for name in ("broken-chain-6-redirect", "broken-z12-dropped-pair",
+                       "broken-s3-bad-inverse")}
 
 
 def _demo(name):
@@ -55,6 +63,7 @@ CASES = {
     "selftest-cyc-8-12-1-3": (["selftest", "--seed", "1", "--trials", "3",
                                "--action", CYC_8_12], 0),
 }
+CASES.update({"validate-" + name: (["validate", path], 1) for name, path in BROKEN.items()})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

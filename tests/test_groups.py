@@ -1,8 +1,14 @@
+import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
-from skewrel.errors import StructureError
+import skewrel
+from skewrel.errors import PreconditionError, StructureError
 from skewrel.groups import GroupSpec
 
 
@@ -87,3 +93,86 @@ def test_sort_key_identity_first():
     elems = [z.element(2), z.element(-1), z.element(0), z.element(1)]
     ordered = sorted(elems, key=lambda t: t.sort_key())
     assert [str(t) for t in ordered] == ["0", "-1", "1", "2"]
+
+
+def s3():
+    names, table = s3_table_from_permutations()
+    return GroupSpec.from_table(names, "e", table)
+
+
+def test_separately_built_equal_groups_share_elements():
+    for a, b in [(s3(), s3()), (GroupSpec.cyclic(6), GroupSpec.cyclic(6)),
+                 (GroupSpec.integers(), GroupSpec.integers())]:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.identity() is a.identity() and a.identity() == b.identity()
+        payloads = range(-3, 4) if a.kind == "integers" else range(len(a.elements()))
+        keyed_a = {a.element(i): i for i in payloads}
+        keyed_b = {b.element(i): i for i in payloads}
+        for i in payloads:
+            assert a.element(i) == b.element(i) and hash(a.element(i)) == hash(b.element(i))
+            assert keyed_a[b.element(i)] == keyed_b[a.element(i)] == i
+
+
+def test_elements_of_different_groups_do_not_mix():
+    z3, z4, z = GroupSpec.cyclic(3), GroupSpec.cyclic(4), GroupSpec.integers()
+    for g, h in [(z3.element(1), z4.element(1)), (z4.element(1), z.element(1)),
+                 (s3().element(1), z4.element(1))]:
+        assert g != h and h != g
+        with pytest.raises(PreconditionError, match="different groups"):
+            g * h
+
+
+def test_elements_and_groups_are_immutable():
+    g = GroupSpec.cyclic(4).element(1)
+    for name in ("spec", "payload", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 2)
+    with pytest.raises(AttributeError):
+        del g.payload
+    with pytest.raises(AttributeError):
+        GroupSpec.cyclic(4).order = 5
+    assert g == GroupSpec.cyclic(4).element(1)
+
+
+def test_copies_keep_equality_and_lookup():
+    for group in (s3(), GroupSpec.cyclic(5)):
+        keyed = {t: str(t) for t in group.elements()}
+        for twin in (copy.copy(keyed), copy.deepcopy(keyed), pickle.loads(pickle.dumps(keyed))):
+            for t, name in twin.items():
+                assert keyed[t] == name and twin[group.parse(name)] == name
+                assert t == group.parse(name) and hash(t) == hash(group.parse(name))
+        assert copy.deepcopy(group) == group and hash(copy.deepcopy(group)) == hash(group)
+
+
+def test_pickle_rehashes_under_another_hash_seed():
+    # Table names are strings, whose hashes change with PYTHONHASHSEED: a hash
+    # carried over in the pickle would miss every key built in the child.
+    group = s3()
+    names = [str(t) for t in group.elements()]
+    table = [[str(a * b) for b in group.elements()] for a in group.elements()]
+    payload = pickle.dumps((names, table, hash(group), {t: str(t) for t in group.elements()}))
+    child = """if True:
+        import pickle, sys
+        from skewrel.groups import GroupSpec
+        names, table, parent_hash, keyed = pickle.loads(sys.stdin.buffer.read())
+        group = GroupSpec.from_table(names, "e", table)
+        assert hash(group) != parent_hash, "the hash seed did not change"
+        for name in names:
+            t = group.parse(name)
+            assert keyed[t] == name
+            (twin,) = [k for k in keyed if k == t]
+            assert hash(twin) == hash(t) and twin.spec == group
+        print("ok")
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(skewrel.__file__)),
+               PYTHONHASHSEED="1" if os.environ.get("PYTHONHASHSEED") == "0" else "0")
+    done = subprocess.run([sys.executable, "-c", child], input=payload, env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == b"ok\n"
+
+
+def test_table_inverses_are_the_identity_column():
+    group = s3()
+    for i, row in enumerate(group.table):
+        assert group.element(i).inverse() == group.element(row.index(group.identity_index))
