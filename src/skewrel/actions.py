@@ -11,10 +11,10 @@ Axiom (1) is unforgeable here: h_e is implicit and always the full identity.
 The stored entry for t is h_t, given as pairs (x, h_t(x)); an inverse entry
 h_{t^-1} is synthesized when missing. Unlisted group elements have empty X_t.
 
-Every reader above the validator uses two tables built once per action, for e
-and each listed t: ``pulls[t]``, h_{t^-1} as a dict on X_t, and ``domains[t]``,
-X_t in carrier order. Their X_t, the domain of h_{t^-1}, is the codomain of h_t
-only in a coherent action, so ``validate_partial_action`` reads the stored maps.
+An action is read through two tables built once per action, for e and each
+listed t: ``pulls[t]``, h_{t^-1} as a dict on X_t, and ``domains[t]``, X_t in
+carrier order. Their X_t, the domain of h_{t^-1}, is the codomain of h_t only
+in a coherent action, so ``validate_partial_action`` alone reads the stored maps.
 
 From a validated action we build the equivalence relation R of pairs
 (x, h_t(x)), each pair carrying its group witnesses. For free actions the
@@ -106,23 +106,6 @@ class PartialAction:
         """Non-identity elements with nonempty maps, in deterministic order."""
         return list(self.domains)[1:]
 
-    def subset(self, t: GroupElement):
-        """X_t, the codomain of h_t, as a set of labels."""
-        if t == self.identity:
-            return set(self.carrier)
-        entry = self.maps.get(t)
-        return set(entry.values()) if entry else set()
-
-    def apply(self, t: GroupElement, x: str) -> str:
-        """h_t(x); x must lie in the domain X_{t^-1}."""
-        if t == self.identity:
-            self.carrier.require([x])
-            return x
-        entry = self.maps.get(t)
-        if entry is None or x not in entry:
-            raise PreconditionError("%s is not in the domain of h_%s" % (x, t))
-        return entry[x]
-
     def check_elements(self):
         """Group elements over which the axioms are verified: the closure set
         {t^-1 u : t, u in S+{e}} over the listed elements S, for every group.
@@ -171,14 +154,22 @@ class ValidationReport:
 
 def validate_partial_action(pa: PartialAction) -> ValidationReport:
     """Check axioms (2) and (3) over the relevant elements; (1) is structural."""
+    e, maps = pa.identity, pa.maps
+
+    def subset(u):          # X_u, the codomain of h_u, as a set of labels
+        return set(pa.carrier) if u == e else set(maps.get(u, {}).values())
+
+    def apply(u, x):        # h_u(x), for x in the domain of h_u
+        return x if u == e else maps[u][x]
+
     report = ValidationReport()
     elems = pa.check_elements()
 
     # Coherence of the stored family: the domain of h_t must be X_{t^-1}.
     coherent = True
     for t in pa.listed():
-        dom = set(pa.maps[t])
-        expected = pa.subset(t.inverse())
+        dom = set(maps[t])
+        expected = subset(t.inverse())
         if dom != expected:
             diff = pa.carrier.sort(dom ^ expected)
             report.violations.append(Violation(
@@ -192,36 +183,36 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     # X_u is nonempty only for u in base, and every side of (2) and (3) meets
     # two of X_t, X_s, X_ts or their inverses: pairs with fewer than two of
     # t, s, ts in base compare only empty sets.
-    base = set(pa.maps) | {pa.identity}
+    base = set(maps) | {e}
     for t in elems:
         t_in_base = t in base
-        x_t = pa.subset(t)
-        x_tinv = pa.subset(t.inverse())
+        x_t = subset(t)
+        x_tinv = subset(t.inverse())
         for s in elems:
             ts = t * s
             if t_in_base + (s in base) + (ts in base) < 2:
                 continue
-            x_s = pa.subset(s)
+            x_s = subset(s)
             # (2) h_t(X_{t^-1} & X_s) = X_t & X_{ts}
-            lhs = {pa.apply(t, x) for x in x_tinv & x_s}
-            rhs = x_t & pa.subset(ts)
+            lhs = {apply(t, x) for x in x_tinv & x_s}
+            rhs = x_t & subset(ts)
             if lhs != rhs:
                 report.violations.append(Violation(
                     "2", t, s,
                     "h_t(X_{t^-1} & X_s) = {%s} but X_t & X_{ts} = {%s}"
                     % (",".join(pa.carrier.sort(lhs)), ",".join(pa.carrier.sort(rhs)))))
             # (3) h_t(h_s(x)) = h_{ts}(x) on X_{s^-1} & X_{(ts)^-1}
-            for x in pa.carrier.sort(pa.subset(s.inverse()) & pa.subset(ts.inverse())):
-                y = pa.apply(s, x)
-                if y not in pa.subset(t.inverse()):
+            for x in pa.carrier.sort(subset(s.inverse()) & subset(ts.inverse())):
+                y = apply(s, x)
+                if y not in subset(t.inverse()):
                     report.violations.append(Violation(
                         "3", t, s, "h_s(%s)=%s escapes the domain of h_t" % (x, y)))
                     continue
-                if pa.apply(t, y) != pa.apply(ts, x):
+                if apply(t, y) != apply(ts, x):
                     report.violations.append(Violation(
                         "3", t, s,
                         "h_t(h_s(%s))=%s but h_{ts}(%s)=%s"
-                        % (x, pa.apply(t, y), x, pa.apply(ts, x))))
+                        % (x, apply(t, y), x, apply(ts, x))))
     return report
 
 

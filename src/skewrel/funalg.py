@@ -178,7 +178,9 @@ def classify_linear_functional(field: FieldSpec, carrier, values) -> HomClassifi
     non-idempotent value. Points that ``values`` omits count as zero.
     Witnesses are minimal in carrier order.
     """
-    support = Carrier(carrier).sort(x for x, v in values.items() if not v.is_zero())[:2]
+    carrier = Carrier(carrier)
+    carrier.require(values)
+    support = carrier.sort(x for x, v in values.items() if not v.is_zero())[:2]
     if not support:
         return HomClassification("zero")
     if len(support) >= 2:

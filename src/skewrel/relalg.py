@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property
 
-from .actions import Relation, invariant_closure, is_invariant, equivalence_classes
+from .actions import Relation, invariant_closure, equivalence_classes
 from .errors import NotFreeError, PreconditionError
 from .fields import FieldSpec
 from .funalg import FunAlgElement, InducedAlgebraAction, SparseSum, accumulate
@@ -117,10 +117,10 @@ class RelIdeal:
 
     def __init__(self, relation: Relation, invariant_members):
         members = set(invariant_members)
-        if not is_invariant(relation, members):
-            raise PreconditionError("subset is not R-invariant")
         self.relation = relation
-        self.invariant = relation.carrier.sort(x for x in members if x in relation.class_of)
+        self.invariant = invariant_closure(relation, members)    # refuses unknown labels
+        if len(self.invariant) != len(members):
+            raise PreconditionError("subset is not R-invariant")
         # Z is a union of classes, so this is sorted_pairs() restricted to Z x Z.
         classes, class_of = relation.classes, relation.class_of
         self.basis = [(x, y) for x in self.invariant for y in classes[class_of[x]]]
@@ -192,8 +192,9 @@ class ExactRowSpace:
         if not vec:
             return False
         piv = min(vec)
-        inv = field.inv(vec[piv])
-        vec = field.reduce({col: inv * c for col, c in vec.items()})
+        if vec[piv] != 1:                        # a unit row is normalized already
+            inv = field.inv(vec[piv])
+            vec = field.reduce({col: inv * c for col, c in vec.items()})
         for p in self.holders.pop(piv, ()):      # back-substitute into the rows nonzero at piv
             row = self.rows[p]
             _subtract_multiple(row, row[piv], vec)
@@ -267,5 +268,6 @@ def span_of_ideal(field: FieldSpec, ideal: RelIdeal) -> ExactRowSpace:
     column = {pair: i for i, pair in enumerate(ideal.relation.sorted_pairs())}
     space = ExactRowSpace(field, len(column))
     one = field.raw(1)
-    space.rows = {column[p]: {column[p]: one} for p in ideal.basis}  # unit rows: RREF already
+    for p in ideal.basis:
+        space.add({column[p]: one})
     return space

@@ -28,6 +28,7 @@ class SkewElement(SparseSum):
     mismatch = "elements over different actions"
 
     action = property(lambda self: self.context[0])
+    field = property(lambda self: self.action.field)
 
     def __init__(self, action: InducedAlgebraAction, terms=None):
         context = (action.field, action.carrier)

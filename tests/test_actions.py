@@ -18,6 +18,24 @@ from test_groups import s3_table_from_permutations
 from test_skew import cyclic_action
 
 
+class StoredMaps:
+    """X_t and h_t read straight off ``pa.maps`` and ``pa.carrier``: the reference
+    for the validator and for the ``pulls``/``domains`` tables, which it never reads."""
+
+    def __init__(self, pa):
+        self.pa = pa
+
+    def subset(self, t):
+        """X_t, the codomain of h_t, as a set of labels."""
+        pa = self.pa
+        return set(pa.carrier) if t == pa.identity else set(pa.maps.get(t, {}).values())
+
+    def apply(self, t, x):
+        """h_t(x), for x in the domain of h_t."""
+        pa = self.pa
+        return x if t == pa.identity else pa.maps[t][x]
+
+
 def e2_without_h2():
     z = GroupSpec.integers()
     return PartialAction(z, ["1", "2", "3"], {z.element(1): {"1": "2", "2": "3"}})
@@ -33,10 +51,11 @@ class TestValidation:
     def test_e1_ok_by_exhaustion(self):
         # oracle: check both axioms over all of Z2 x Z2 by hand here
         pa = e1_action()
+        ref = StoredMaps(pa)
         elems = pa.group.elements()
         for t, s in itertools.product(elems, repeat=2):
-            lhs = {pa.apply(t, x) for x in pa.subset(t.inverse()) & pa.subset(s)}
-            assert lhs == pa.subset(t) & pa.subset(t * s)
+            lhs = {ref.apply(t, x) for x in ref.subset(t.inverse()) & ref.subset(s)}
+            assert lhs == ref.subset(t) & ref.subset(t * s)
         assert validate_partial_action(pa).ok
 
     def test_e2_ok(self):
@@ -222,13 +241,8 @@ def reference_report(pa, elems):
     """Reference: the domain check, then axioms (2) and (3) over every (t, s) of
     elems with no pair skipped, read straight off ``pa.maps``; the violation
     texts as the validator renders them."""
-    e, carrier = pa.identity, list(pa.carrier)
-
-    def X(t):
-        return set(carrier) if t == e else set(pa.maps.get(t, {}).values())
-
-    def h(t, x):
-        return x if t == e else pa.maps[t][x]
+    carrier, ref = list(pa.carrier), StoredMaps(pa)
+    X, h = ref.subset, ref.apply
 
     def labels(xs):
         return ",".join(sorted(xs, key=carrier.index))
@@ -339,10 +353,11 @@ class TestTables:
             if not validate_partial_action(pa).ok:
                 continue
             valid += 1
+            ref = StoredMaps(pa)
             for t in pa.check_elements():
-                assert list(pa.domains.get(t, ())) == pa.carrier.sort(pa.subset(t))
-                assert pa.pulls.get(t, {}) == {x: pa.apply(t.inverse(), x)
-                                               for x in pa.subset(t)}
+                assert list(pa.domains.get(t, ())) == pa.carrier.sort(ref.subset(t))
+                assert pa.pulls.get(t, {}) == {x: ref.apply(t.inverse(), x)
+                                               for x in ref.subset(t)}
         assert valid > 200
 
     def test_incoherent_action_keeps_its_domain_violations(self):

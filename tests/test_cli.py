@@ -46,6 +46,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_document(tmp_path, capsys, doc, algebra, element):
+    """validate the action document, or, given an algebra, mul element by itself over it."""
+    action = write(tmp_path, "action.json", doc)
+    if algebra is None:
+        return run(capsys, "validate", action)
+    elem = write(tmp_path, "elem.json", element)
+    return run(capsys, "mul", "--algebra", algebra, action, elem, elem)
+
+
 class TestDocuments:
     def test_e1_parses_to_fixture(self):
         field, action = parse_action_document(E1_DOC)
@@ -172,15 +181,29 @@ class TestCommands:
          pytest.param(dict(E1_DOC, field={"kind": "rationals", "modulus": None}), None, None,
                       id="rationals-modulus-null")])
     def test_malformed_document_exit_3(self, tmp_path, capsys, doc, algebra, element):
-        action = write(tmp_path, "action.json", doc)
-        if algebra is None:
-            argv = ["validate", action]
-        else:
-            elem = write(tmp_path, "elem.json", element)
-            argv = ["mul", "--algebra", algebra, action, elem, elem]
-        code, _out, err = run(capsys, *argv)
+        code, _out, err = run_document(tmp_path, capsys, doc, algebra, element)
         assert code == 3
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, algebra, element, message", [
+        pytest.param(dict(E1_DOC, maps=5), None, None, "maps must be a list", id="maps-not-list"),
+        pytest.param(dict(E1_DOC, maps=[{"t": "1", "pairs": [["a", "b"], ["a", "c"]]}]),
+                     None, None, "duplicate source 'a' in h_1", id="duplicate-source"),
+        pytest.param(dict(E1_DOC, maps=E1_DOC["maps"] * 2), None, None,
+                     "duplicate map entry for t=1", id="duplicate-map-entry"),
+        pytest.param(E1_DOC, "skew", [{"t": "1", "coeffs": 5}],
+                     "function element must be an object label -> scalar", id="coeffs-not-object"),
+        pytest.param(E1_DOC, "skew", {"t": "1"}, "skew element must be a list of terms",
+                     id="skew-not-list"),
+        pytest.param(E1_DOC, "skew", [{"t": "1", "coeffs": {"a": "1"}}] * 2,
+                     "duplicate term for t=1", id="duplicate-term"),
+        pytest.param(E1_DOC, "rel", [{"x": "a", "y": "b", "value": "1"}] * 2,
+                     "duplicate entry for (a, b)", id="duplicate-rel-entry"),
+        pytest.param(E1_DOC, "skew", [{"t": "1", "coeffs": {"zzz": "1"}}],
+                     "zzz is not a carrier point", id="coefficient-off-carrier"),
+    ])
+    def test_malformed_document_message(self, tmp_path, capsys, doc, algebra, element, message):
+        assert run_document(tmp_path, capsys, doc, algebra, element) == (3, "", message + "\n")
 
     def test_table_group_document(self, tmp_path, capsys):
         code, out, _ = run(capsys, "validate", write(tmp_path, "z2.json", Z2_DOC))

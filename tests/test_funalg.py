@@ -13,6 +13,7 @@ from skewrel.funalg import (FunAlgElement, InducedAlgebraAction, LinearMapOnBasi
                             induce_algebra_action, psi_from_bijection,
                             recover_set_action, subset_of_ideal)
 
+from test_actions import StoredMaps, e2_without_h2
 from test_skew import cyclic_action
 
 Q = FieldSpec(RATIONALS)
@@ -67,6 +68,10 @@ class TestClassification:
     def test_zero(self):
         assert classify_linear_functional(
             Q, XYZ, {x: Q.zero() for x in XYZ}).verdict == "zero"
+
+    def test_label_outside_the_carrier_rejected(self):
+        with pytest.raises(PreconditionError, match="^z is not a carrier point$"):
+            classify_linear_functional(Q, ("a", "b"), {"z": Q.one()})
 
     def test_random_functionals_never_evaluations(self):
         rng = random.Random(7)
@@ -222,27 +227,40 @@ class TestInducedAction:
         with pytest.raises(PreconditionError, match="support"):
             alpha.apply(pa.group.element(1), d3)
 
+    def test_invalid_action_refused_with_its_report(self):
+        with pytest.raises(PreconditionError) as excinfo:
+            InducedAlgebraAction(Q, e2_without_h2())
+        assert str(excinfo.value) == (
+            "underlying action is invalid: "
+            "axiom 3 at (t,s)=(-2,1): h_s(2)=3 escapes the domain of h_t; "
+            "axiom 2 at (t,s)=(-1,-1): h_t(X_{t^-1} & X_s) = {1} but X_t & X_{ts} = {}; "
+            "axiom 2 at (t,s)=(-1,2): h_t(X_{t^-1} & X_s) = {} but X_t & X_{ts} = {2}; "
+            "axiom 2 at (t,s)=(1,-2): h_t(X_{t^-1} & X_s) = {} but X_t & X_{ts} = {2}; "
+            "axiom 2 at (t,s)=(1,1): h_t(X_{t^-1} & X_s) = {3} but X_t & X_{ts} = {}; "
+            "axiom 3 at (t,s)=(2,-1): h_s(2)=1 escapes the domain of h_t")
+
     def test_alpha_inverse_composes_to_identity(self):
         pa = e2_action()
         alpha = induce_algebra_action(Q, pa)
         for t in pa.listed():
-            for x in pa.subset(t.inverse()):
+            for x in StoredMaps(pa).subset(t.inverse()):
                 f = FunAlgElement.delta(Q, pa.carrier, x)
                 assert alpha.apply(t.inverse(), alpha.apply(t, f)) == f
 
     def test_algebra_action_axioms_on_basis(self):
         for pa in (e1_action(), e2_action()):
             alpha = induce_algebra_action(Q, pa)
+            ref = StoredMaps(pa)
             elems = pa.check_elements()
             for t in elems:
                 # supports: alpha_t(D_{t^-1} & D_s) = D_t & D_{ts}
                 for s in elems:
-                    dom = pa.subset(t.inverse()) & pa.subset(s)
-                    image = {pa.apply(t, x) for x in dom}
-                    assert image == pa.subset(t) & pa.subset(t * s)
+                    dom = ref.subset(t.inverse()) & ref.subset(s)
+                    image = {ref.apply(t, x) for x in dom}
+                    assert image == ref.subset(t) & ref.subset(t * s)
                 # composition on basis vectors of D_{s^-1} & D_{s^-1 t^-1}
                 for s in elems:
-                    for x in pa.subset(s.inverse()) & pa.subset((t * s).inverse()):
+                    for x in ref.subset(s.inverse()) & ref.subset((t * s).inverse()):
                         f = FunAlgElement.delta(Q, pa.carrier, x)
                         assert alpha.apply(t, alpha.apply(s, f)) == \
                             alpha.apply(t * s, f)
@@ -250,10 +268,10 @@ class TestInducedAction:
 
 def hand_built_linear_map(alpha, t):
     """Reference alpha_t: the column of x in X_{t^-1} is delta_{h_t(x)} in F0(X_t)."""
-    pa = alpha.action
-    source = pa.carrier.sort(pa.subset(t.inverse()))
-    target = Carrier(pa.carrier.sort(pa.subset(t)))
-    columns = {x: FunAlgElement.delta(alpha.field, target, pa.apply(t, x)) for x in source}
+    pa, ref = alpha.action, StoredMaps(alpha.action)
+    source = pa.carrier.sort(ref.subset(t.inverse()))
+    target = Carrier(pa.carrier.sort(ref.subset(t)))
+    columns = {x: FunAlgElement.delta(alpha.field, target, ref.apply(t, x)) for x in source}
     return LinearMapOnBasis(alpha.field, source, target, columns)
 
 
@@ -265,7 +283,7 @@ class TestActionTables:
             alpha = InducedAlgebraAction(field, pa)
             for t in pa.check_elements():
                 assert alpha.as_linear_map(t) == hand_built_linear_map(alpha, t)
-                empty += not pa.subset(t)
+                empty += not StoredMaps(pa).subset(t)
         assert empty       # E2 has t with empty X_t
 
     def test_one_copy_per_action(self):

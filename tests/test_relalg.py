@@ -154,6 +154,12 @@ class TestConvolution:
             with pytest.raises(PreconditionError, match=r"^pair \(%s\) is not in R$" % named):
                 RelElement(Q, rel, coeffs)
 
+    def test_repr(self, e1):
+        _, rel, _ = e1
+        assert repr(RelElement.zero(Q, rel)) == "0"
+        f = RelElement(Q, rel, {("c", "c"): Q.one(), ("a", "b"): Q.one()})
+        assert repr(f) == "1·δ_(a,b) + 1·δ_(c,c)"
+
     def test_matching_middle(self, e1):
         _, rel, _ = e1
         f = RelElement.delta(Q, rel, "a", "b")
@@ -313,6 +319,12 @@ class TestIdeals:
         _, rel, _ = e1
         with pytest.raises(PreconditionError):
             ideal_from_invariant(rel, ["a"])
+
+    def test_unknown_label_rejected(self, e1):
+        _, rel, _ = e1
+        for members in (["zzz"], ["c", "zzz"]):
+            with pytest.raises(PreconditionError, match="^zzz is not a carrier point$"):
+                ideal_from_invariant(rel, members)
 
     def test_span_closed_under_convolution(self, e1):
         _, rel, _ = e1
@@ -516,6 +528,7 @@ class TestSpanOfIdeal:
             span = span_of_ideal(field, ideal)
             assert span == expected
             assert list(span.rows.items()) == list(expected.rows.items())
+            assert span.holders == expected.holders
 
 
 # Runs the oracle on E2 in a fresh interpreter and prints every vector it hands

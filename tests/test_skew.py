@@ -82,6 +82,10 @@ class TestMultiplication:
                 assert u * one == u
                 assert one * u == u
 
+    def test_field_is_the_action_field(self):
+        for alpha in (e1_alpha(), e2_alpha(F5)):
+            assert SkewElement.one(alpha).field is alpha.field
+
     def test_closure_under_product(self):
         rng = random.Random(5)
         for alpha in (e1_alpha(), e2_alpha(), e2_alpha(F5)):
