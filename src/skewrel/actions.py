@@ -182,16 +182,20 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
 
     # X_u is nonempty only for u in base, and every side of (2) and (3) meets
     # two of X_t, X_s, X_ts or their inverses: pairs with fewer than two of
-    # t, s, ts in base compare only empty sets.
+    # t, s, ts in base compare only empty sets. The others are (t, s), (t, t^-1 u)
+    # and (u s^-1, s) over t, s, u in base, built directly: O(|base|^2) pairs.
     base = set(maps) | {e}
+    partners: dict[GroupElement, set] = {}
+    for t in base:
+        ti = t.inverse()
+        for u in base:
+            partners.setdefault(t, set()).update((u, ti * u))
+            partners.setdefault(u * ti, set()).add(t)
     for t in elems:
-        t_in_base = t in base
         x_t = subset(t)
         x_tinv = subset(t.inverse())
-        for s in elems:
+        for s in sorted(partners.get(t, ()), key=GroupElement.sort_key):
             ts = t * s
-            if t_in_base + (s in base) + (ts in base) < 2:
-                continue
             x_s = subset(s)
             # (2) h_t(X_{t^-1} & X_s) = X_t & X_{ts}
             lhs = {apply(t, x) for x in x_tinv & x_s}
@@ -339,13 +343,6 @@ def enumerate_invariant_subsets(rel: Relation) -> list[list[str]]:
     k = len(equivalence_classes(rel))
     class_of = rel.class_of
     return [[x for x in rel.carrier if mask >> class_of[x] & 1] for mask in range(1 << k)]
-
-
-def is_invariant(rel: Relation, subset) -> bool:
-    """Every class meeting the subset lies inside it; other labels are ignored."""
-    subset = set(subset)
-    touched = {rel.class_of[x] for x in subset if x in rel.class_of}
-    return all(y in subset for i in touched for y in rel.classes[i])
 
 
 def witness(rel: Relation, x: str, y: str) -> GroupElement:

@@ -5,6 +5,7 @@ printed; run with `pytest tests/test_acceptance.py -s` to see them inline.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 from skewrel.actions import (PartialAction, build_relation, check_free,
                              validate_partial_action)
+from skewrel.cli import main
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle, trivial_action
 from skewrel.funalg import (InducedAlgebraAction, bijection_from_isomorphism,
@@ -29,6 +31,11 @@ Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)
 FIELDS = [Q, F5]
 FIXTURES = [e1_action, e2_action]
+# The integers acting by 40 one-pair maps labelled 2, 4, ..., 2^40 on 80 points:
+# a closure set of 3 049 elements, but only the pairs (t, s) with two of t, s, ts
+# among the 80 listed elements and e can meet a nonempty X_u.
+SPARSE_Z_40 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "data", "sparse-z-40.json")
 
 
 def report(number, ok, text):
@@ -192,3 +199,12 @@ def test_criterion_8_selftest_determinism():
     ok = ok and first.stdout == second.stdout and len(first.stdout) > 0
     ok = ok and json.loads(first.stdout)["ok"]
     report(8, ok, "selftest --seed 42 --trials 500 is byte-identical across runs")
+
+
+def test_criterion_9_wide_sparse_validation(capsys):
+    start = time.perf_counter()
+    code = main(["validate", SPARSE_Z_40])
+    elapsed = time.perf_counter() - start
+    ok = code == 0 and json.loads(capsys.readouterr().out)["ok"] and elapsed < 2.0
+    report(9, ok, "validate on 40 one-pair maps of the integers with labels up to "
+           "2^40 in %.2fs" % elapsed)

@@ -4,16 +4,18 @@ import time
 
 import pytest
 
-from skewrel.actions import Carrier
-from skewrel.errors import PreconditionError
-from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
+from skewrel.actions import Carrier, PartialAction, validate_partial_action
+from skewrel.errors import PreconditionError, StructureError
+from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS, Scalar
 from skewrel.fixtures import e1_action, e2_action
 from skewrel.funalg import (FunAlgElement, InducedAlgebraAction, LinearMapOnBasis,
                             bijection_from_isomorphism, classify_linear_functional,
                             induce_algebra_action, psi_from_bijection,
                             recover_set_action, subset_of_ideal)
+from skewrel.groups import GroupSpec
 
-from test_actions import StoredMaps, e2_without_h2
+from test_actions import StoredMaps, e2_without_h2, random_valid_action
+from test_groups import s3_table_from_permutations
 from test_skew import cyclic_action
 
 Q = FieldSpec(RATIONALS)
@@ -320,3 +322,136 @@ class TestRecovery:
         family[g] = (support, doubled)
         with pytest.raises(PreconditionError):
             recover_set_action(Q, pa.group, pa.carrier, family)
+
+
+def reference_bijection(gamma):
+    """Reference for bijection_from_isomorphism: each row eps_x o gamma must be
+    an evaluation eps_y, the h(x) = y must form a bijection, and psi_h must be
+    gamma column for column."""
+    field = gamma.field
+    rows = {x: {} for x in gamma.target}
+    for y, col in gamma.columns.items():
+        for x, c in col.coeffs.items():
+            rows[x][y] = Scalar(field, c)
+    h = {}
+    for x, values in rows.items():
+        cls = classify_linear_functional(field, gamma.source, values)
+        if cls.verdict != "evaluation":
+            raise PreconditionError("eps_%s o gamma is not an evaluation" % x)
+        h[x] = cls.point
+    if len(set(h.values())) != len(gamma.source) or len(h) != len(gamma.source):
+        raise PreconditionError("recovered map is not a bijection")
+    if psi_from_bijection(field, h, gamma.source, gamma.target) != gamma:
+        raise PreconditionError("map is not induced by any bijection")
+    return h
+
+
+def reference_recovery(field, group, carrier, family):
+    """Reference for recover_set_action: the columns must fill each F0(X_t),
+    and the recovered action is validated on its own before its alpha_t are
+    compared with the family."""
+    e = group.identity()
+    maps = {}
+    for t, (support, alpha_t) in family.items():
+        if t == e:
+            continue
+        if subset_of_ideal(list(alpha_t.columns.values())) != list(alpha_t.target):
+            raise PreconditionError("columns of alpha_%s do not fill F0(X_t)" % t)
+        h_tinv = reference_bijection(alpha_t)
+        if set(h_tinv) != set(support):
+            raise PreconditionError("alpha_%s is not defined on all of F0(X_{t^-1})" % t)
+        maps[t] = {x: y for y, x in h_tinv.items()}
+    theta = PartialAction(group, carrier, maps)
+    if not validate_partial_action(theta).ok:
+        raise PreconditionError("recovered family is not a partial action")
+    induced = InducedAlgebraAction(field, theta, validate=False)
+    for t, (support, alpha_t) in family.items():
+        if t != e and induced.as_linear_map(t) != alpha_t:
+            raise PreconditionError("recovered action does not reproduce alpha_%s" % t)
+    return theta
+
+
+def outcome(function, *args):
+    """The result, or None when the inputs are refused."""
+    try:
+        return function(*args)
+    except (PreconditionError, StructureError):
+        return None
+
+
+def random_basis_map(rng, field):
+    """A map F0(Y) -> F0(X) on at most five points each, usually of one size.
+    Each column is a unit, scaled, zero or two-entry delta; when Y is no larger
+    than X, the unit columns, two in three, sit at distinct points."""
+    source = rng.sample("pqrstu", rng.randint(0, 5))
+    size = len(source) if rng.random() < 0.8 else rng.randint(0, 5)
+    target = Carrier(rng.sample("abcdef", size))
+    images = rng.sample(target, len(source)) if len(source) <= size else []
+    columns = {}
+    for i, y in enumerate(source):
+        kind = rng.choice("uuuuuuszt" if images else "uuszt") if target else "z"
+        coeffs = {}
+        if kind != "z":
+            x = images[i] if images and kind == "u" else rng.choice(target)
+            coeffs[x] = field.from_int(rng.choice([2, 3, 4, -1]) if kind == "s" else 1)
+            if kind == "t":
+                coeffs[rng.choice(target)] = field.one()
+        columns[y] = FunAlgElement(field, target, coeffs)
+    return LinearMapOnBasis(field, source, target, columns)
+
+
+def mutated_family(rng, field, pa):
+    """The family of alpha_t of a valid action, with at most one alpha_t changed:
+    two columns swapped, its subcarriers listed in reverse, or alpha_{t^-1}
+    replaced by psi of another bijection, so that t and t^-1 disagree."""
+    alpha = InducedAlgebraAction(field, pa, validate=False)
+    family = {t: (pa.domains[t], alpha.as_linear_map(t)) for t in pa.listed()}
+    if rng.random() < 0.25:
+        return family
+    t = rng.choice(pa.listed())
+    support, amap = family[t]
+    source, target = list(amap.source), list(amap.target)
+    kind = rng.choice(["swap", "reverse", "inverse"])
+    if kind == "swap" and len(source) >= 2:
+        x, y = rng.sample(source, 2)
+        columns = dict(amap.columns, **{x: amap.columns[y], y: amap.columns[x]})
+        family[t] = (support, LinearMapOnBasis(field, source, target, columns))
+    elif kind == "reverse":
+        target = Carrier(target[::-1])
+        columns = {y: FunAlgElement(field, target, {x: field.one()})
+                   for y, col in amap.columns.items() for x in col.coeffs}
+        family[t] = (support, LinearMapOnBasis(field, source[::-1], target, columns))
+    else:
+        support, amap = family[t.inverse()]
+        h = dict(zip(amap.target, rng.sample(list(amap.source), len(amap.source))))
+        family[t.inverse()] = (support, psi_from_bijection(field, h, amap.source, amap.target))
+    return family
+
+
+class TestRecoveryMatchesTheReference:
+    def test_basis_maps(self):
+        rng = random.Random(15)
+        accepted = 0
+        for trial in range(20000):
+            gamma = random_basis_map(rng, (Q, F5)[trial % 2])
+            got = outcome(bijection_from_isomorphism, gamma)
+            assert got == outcome(reference_bijection, gamma)
+            accepted += got is not None
+        assert 5000 < accepted < 15000      # both verdicts were compared
+
+    def test_families(self):
+        rng = random.Random(16)
+        names, table = s3_table_from_permutations()
+        groups = [GroupSpec.cyclic(4), GroupSpec.cyclic(6), GroupSpec.integers(),
+                  GroupSpec.from_table(names, "e", table)]
+        accepted = 0
+        for trial in range(600):
+            field = (Q, F5)[trial % 2]
+            pa = random_valid_action(rng, groups[trial % len(groups)])
+            while not pa.listed():
+                pa = random_valid_action(rng, groups[trial % len(groups)])
+            family = mutated_family(rng, field, pa)
+            got = outcome(recover_set_action, field, pa.group, pa.carrier, family)
+            assert got == outcome(reference_recovery, field, pa.group, pa.carrier, family)
+            accepted += got is not None
+        assert 150 < accepted < 450         # both verdicts were compared

@@ -22,6 +22,9 @@ E1_GF7 = os.path.join(ROOT, "tests", "data", "e1-gf7.json")
 Z3_SIX = os.path.join(ROOT, "tests", "data", "z3-six-classes.json")
 # bench/gen.py's cyc(8, 12, random.Random(1)): Z_8 on 12 orbits, 96 shuffled points.
 CYC_8_12 = os.path.join(ROOT, "tests", "data", "cyc-8-12.json")
+# The integers by 40 one-pair maps labelled 2, 4, ..., 2^40 on 80 points: 3 049
+# elements in the closure set, of which only the 80 listed ones and e carry points.
+SPARSE_Z_40 = os.path.join(ROOT, "tests", "data", "sparse-z-40.json")
 # Broken actions, each reported with exit 1. On the integers chain, h_2 sends 4
 # to 1 instead of 6, and some violations sit at unlisted t of the closure set
 # (t = -7, -6, 6, 7). The Z_12 action on {0, 1, 3, 4, 8} by translation has
@@ -43,6 +46,7 @@ CASES = {
     "relation-e2": (["relation", _demo("e2.json")], 0),
     "ideals-e1": (["ideals", _demo("e1.json")], 0),
     "ideals-e2": (["ideals", _demo("e2.json")], 0),
+    "validate-sparse-z-40": (["validate", SPARSE_Z_40], 0),
     "relation-z3-six-classes": (["relation", Z3_SIX], 0),
     "ideals-z3-six-classes": (["ideals", Z3_SIX], 0),
     "mul-skew-e1": (["mul", "--algebra", "skew", _demo("e1.json"),
