@@ -154,19 +154,15 @@ class ValidationReport:
 
 def validate_partial_action(pa: PartialAction) -> ValidationReport:
     """Check axioms (2) and (3) over the relevant elements; (1) is structural."""
-    e, maps = pa.identity, pa.maps
+    maps = {pa.identity: {x: x for x in pa.carrier}, **pa.maps}     # h_e and the stored h_t
 
     def subset(u):          # X_u, the codomain of h_u, as a set of labels
-        return set(pa.carrier) if u == e else set(maps.get(u, {}).values())
-
-    def apply(u, x):        # h_u(x), for x in the domain of h_u
-        return x if u == e else maps[u][x]
+        return set(maps.get(u, {}).values())
 
     report = ValidationReport()
     elems = pa.check_elements()
 
     # Coherence of the stored family: the domain of h_t must be X_{t^-1}.
-    coherent = True
     for t in pa.listed():
         dom = set(maps[t])
         expected = subset(t.inverse())
@@ -176,19 +172,17 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
                 "domain", t, None,
                 "domain of h_%s is %s but X_%s is %s (differ at {%s})"
                 % (t, sorted(dom), t.inverse(), sorted(expected), ",".join(diff))))
-            coherent = False
-    if not coherent:
+    if report.violations:
         return report
 
-    # X_u is nonempty only for u in base, and every side of (2) and (3) meets
+    # X_u is nonempty only for u in maps, and every side of (2) and (3) meets
     # two of X_t, X_s, X_ts or their inverses: pairs with fewer than two of
-    # t, s, ts in base compare only empty sets. The others are (t, s), (t, t^-1 u)
-    # and (u s^-1, s) over t, s, u in base, built directly: O(|base|^2) pairs.
-    base = set(maps) | {e}
+    # t, s, ts in maps compare only empty sets. The others are (t, s), (t, t^-1 u)
+    # and (u s^-1, s) over t, s, u in maps, built directly: O(|maps|^2) pairs.
     partners: dict[GroupElement, set] = {}
-    for t in base:
+    for t in maps:
         ti = t.inverse()
-        for u in base:
+        for u in maps:
             partners.setdefault(t, set()).update((u, ti * u))
             partners.setdefault(u * ti, set()).add(t)
     for t in elems:
@@ -198,7 +192,7 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
             ts = t * s
             x_s = subset(s)
             # (2) h_t(X_{t^-1} & X_s) = X_t & X_{ts}
-            lhs = {apply(t, x) for x in x_tinv & x_s}
+            lhs = {maps[t][x] for x in x_tinv & x_s}
             rhs = x_t & subset(ts)
             if lhs != rhs:
                 report.violations.append(Violation(
@@ -207,16 +201,16 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
                     % (",".join(pa.carrier.sort(lhs)), ",".join(pa.carrier.sort(rhs)))))
             # (3) h_t(h_s(x)) = h_{ts}(x) on X_{s^-1} & X_{(ts)^-1}
             for x in pa.carrier.sort(subset(s.inverse()) & subset(ts.inverse())):
-                y = apply(s, x)
+                y = maps[s][x]
                 if y not in subset(t.inverse()):
                     report.violations.append(Violation(
                         "3", t, s, "h_s(%s)=%s escapes the domain of h_t" % (x, y)))
                     continue
-                if apply(t, y) != apply(ts, x):
+                if maps[t][y] != maps[ts][x]:
                     report.violations.append(Violation(
                         "3", t, s,
                         "h_t(h_s(%s))=%s but h_{ts}(%s)=%s"
-                        % (x, apply(t, y), x, apply(ts, x))))
+                        % (x, maps[t][y], x, maps[ts][x])))
     return report
 
 

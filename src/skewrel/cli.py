@@ -9,6 +9,7 @@ error, usage errors included.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .actions import (build_relation, check_free, enumerate_invariant_subsets,
@@ -18,7 +19,7 @@ from .documents import (dump_json, load_action, load_json, parse_rel, parse_skew
 from .errors import (DocumentError, PreconditionError, StructureError,
                      ValidationFailure)
 from .funalg import InducedAlgebraAction
-from .relalg import gamma, gamma_inv, ideal_from_invariant
+from .relalg import gamma, gamma_inv
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -35,7 +36,13 @@ _ESCAPED_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u20
 
 
 def _emit(doc) -> int:
-    print(dump_json(doc))
+    """Write one document to stdout; a failed write or flush raises DocumentError."""
+    try:
+        print(dump_json(doc), flush=True)
+    except OSError as exc:
+        # Send what stays buffered to devnull, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise DocumentError("cannot write to stdout: %s" % (exc.strerror or exc)) from None
     return EXIT_OK
 
 
@@ -77,14 +84,14 @@ def cmd_ideals(args) -> int:
     if len(classes) > MAX_IDEAL_CLASSES:
         raise PreconditionError("ideals lists at most %d classes (2^%d ideals); this action has %d"
                                 % (MAX_IDEAL_CLASSES, MAX_IDEAL_CLASSES, len(classes)))
+    # Subset number mask unions the classes i with bit i set: dimension sum |C|^2.
     ideals = []
-    for members in enumerate_invariant_subsets(rel):
-        ideal = ideal_from_invariant(rel, members)
+    for mask, invariant in enumerate(enumerate_invariant_subsets(rel)):
+        chosen = [block for i, block in enumerate(classes) if mask >> i & 1]
         ideals.append({
-            "invariant": ideal.invariant,
-            "basis_size": ideal.dimension,
-            "generators": [{"x": block[0], "y": block[0]}
-                           for block in classes if block[0] in members],
+            "invariant": invariant,
+            "basis_size": sum(len(block) ** 2 for block in chosen),
+            "generators": [{"x": block[0], "y": block[0]} for block in chosen],
         })
     return _emit({"command": "ideals", "ideals": ideals})
 
@@ -115,13 +122,10 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    custom = None
-    if args.action is not None:
-        field, action = load_action(args.action)
-        custom = (field, action)
+    custom = None if args.action is None else load_action(args.action)
     report = run_selftest(args.seed, args.trials, custom=custom,
                           corrupt_skew_mul=args.corrupt_skew_mul)
-    print(dump_json(report))
+    _emit(report)
     return EXIT_OK if report["ok"] else EXIT_PROPERTY
 
 
@@ -178,13 +182,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse exits 0 after --help, 2 after its usage message
         return EXIT_IO if exc.code else EXIT_OK
     try:
-        return args.func(args)
-    except ValidationFailure as exc:
-        lines = exc.report.render()
-        print(dump_json({"ok": False, "violations": lines}))
-        for line in lines:
-            print(line, file=sys.stderr)
-        return EXIT_INVALID
+        try:
+            return args.func(args)
+        except ValidationFailure as exc:
+            lines = exc.report.render()
+            _emit({"ok": False, "violations": lines})
+            print("\n".join(lines), file=sys.stderr)
+            return EXIT_INVALID
     except (PreconditionError, StructureError, DocumentError) as exc:
         print(str(exc).translate(_ESCAPED_BREAKS), file=sys.stderr)
         return EXIT_IO if isinstance(exc, DocumentError) else EXIT_INVALID

@@ -31,4 +31,4 @@ class NotFreeError(PreconditionError):
 
 
 class DocumentError(SkewRelError):
-    """JSON document failed to parse or violated the strict schema."""
+    """A JSON document could not be read, parsed or written, or broke the strict schema."""

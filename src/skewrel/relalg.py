@@ -24,7 +24,7 @@ from functools import cached_property
 from .actions import Relation, invariant_closure, equivalence_classes
 from .errors import NotFreeError, PreconditionError
 from .fields import FieldSpec
-from .funalg import FunAlgElement, InducedAlgebraAction, SparseSum, accumulate
+from .funalg import FunAlgElement, InducedAlgebraAction, SparseSum
 from .skew import SkewElement
 
 
@@ -85,17 +85,14 @@ class RelElement(SparseSum):
 
 
 def gamma(rel: Relation, u: SkewElement) -> RelElement:
-    """The isomorphism F0(X) x G -> F0(R): f delta_t |-> value f(x) at (x, h_{t^-1}(x))."""
+    """The isomorphism F0(X) x G -> F0(R): f delta_t |-> value f(x) at (x, h_{t^-1}(x)),
+    a re-indexing, as a free action sends distinct (t, x) to distinct pairs."""
     _require_free(rel)
     out: dict = {}
-    for t, a in u.coeffs.items():
+    for t, a in u.sorted_terms():              # an error names the first pair outside R
         h = u.action.pull_map(t)               # h_{t^-1}, defined on X_t
-        for x, c in a.coeffs.items():
-            accumulate(out, (x, h[x]), c)
-    if not out.keys() <= rel.pairs.keys():       # name the pair the term order meets first
-        _require_pairs(rel, {(x, u.action.pull_map(t)[x]): c
-                             for t, a in u.sorted_terms() for x, c in a.coeffs.items()})
-    return RelElement._raw((u.action.field, rel), out)
+        out.update(((x, h[x]), c) for x, c in a.coeffs.items())
+    return RelElement._raw((u.action.field, _require_pairs(rel, out)), out)
 
 
 def gamma_inv(alpha: InducedAlgebraAction, f: RelElement) -> SkewElement:
@@ -150,8 +147,8 @@ def ideal_closure_of(f: RelElement) -> list[str]:
 def ideal_membership(g: RelElement, ideal: RelIdeal) -> bool:
     if g.relation != ideal.relation:
         raise PreconditionError("element and ideal over different relations")
-    basis = set(ideal.basis)
-    return all(p in basis for p in g.coeffs)
+    invariant = set(ideal.invariant)     # Z is R-invariant, so x in Z puts (x, y) in Z x Z
+    return all(x in invariant for (x, _y) in g.coeffs)
 
 
 def count_ideals(rel: Relation) -> int:

@@ -1,13 +1,21 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 
 import pytest
 
 from skewrel import actions
+from skewrel.actions import build_relation, enumerate_invariant_subsets, equivalence_classes
 from skewrel.cli import main
-from skewrel.documents import (action_doc, parse_action_document)
+from skewrel.documents import (action_doc, dump_json, parse_action_document)
 from skewrel.errors import DocumentError, ValidationFailure
 from skewrel.fixtures import GF5, RATIONALS_FIELD, e1_action, e2_action
+from skewrel.relalg import ideal_from_invariant
+
+from strategies import draw_any
 
 E1_DOC = {
     "field": {"kind": "rationals"},
@@ -401,3 +409,92 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest", "--action", str(path),
                            "--seed", "7", "--trials", "10")
         assert code == 0 and json.loads(out)["ok"]
+
+
+def reference_ideals_doc(rel):
+    """The ideals document as it was built before it read the class masks: an
+    ideal per invariant subset, re-closed and re-checked, its basis listed to be
+    counted, and the classes scanned for the generators."""
+    classes = equivalence_classes(rel)
+    ideals = []
+    for members in enumerate_invariant_subsets(rel):
+        ideal = ideal_from_invariant(rel, members)
+        ideals.append({
+            "invariant": ideal.invariant,
+            "basis_size": ideal.dimension,
+            "generators": [{"x": block[0], "y": block[0]}
+                           for block in classes if block[0] in members],
+        })
+    return {"command": "ideals", "ideals": ideals}
+
+
+class TestIdealsMatchTheReference:
+    def test_documents_are_byte_identical(self, tmp_path, capsys):
+        rng = random.Random(44)
+        classes = []
+        for i in range(300):
+            action = draw_any(rng, max_points=14, free_only=True, max_copies=10).action
+            rel = build_relation(action)
+            path = write(tmp_path, "action-%d.json" % i, action_doc(RATIONALS_FIELD, action))
+            code, out, _ = run(capsys, "ideals", path)
+            assert code == 0
+            assert out == dump_json(reference_ideals_doc(rel)) + "\n"
+            classes.append(len(rel.classes))
+        assert max(classes) == 10 and min(classes) == 0 and sum(classes) > 900
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# A success, a validation failure (exit 1 when its report can be written) and a
+# selftest report; the relation document is 57 KB, the other two under 2 KB.
+WRITE_CASES = {
+    "relation": ["relation", "tests/data/cyc-8-12.json"],
+    "validation-failure": ["validate", "tests/data/broken-z12-dropped-pair.json"],
+    "selftest": ["selftest", "--seed", "1", "--trials", "1"],
+}
+
+
+def start_cli(argv, stdout):
+    # Python's default buffered stdout, which holds a document until a flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    return subprocess.Popen([sys.executable, "-m", "skewrel.cli", *argv], cwd=ROOT, env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def fill_pipe(fd):
+    """Write to fd until the pipe is full, then leave fd blocking again."""
+    os.set_blocking(fd, False)
+    for chunk in (b"-" * 4096, b"-"):
+        try:
+            while True:
+                os.write(fd, chunk)
+        except BlockingIOError:
+            pass
+    os.set_blocking(fd, True)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full and POSIX pipes")
+@pytest.mark.parametrize("argv", list(WRITE_CASES.values()), ids=list(WRITE_CASES))
+class TestWriteFailures:
+    """A document that cannot be written ends with exit 3 and one stderr line."""
+
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = start_cli(argv, full)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert err == "cannot write to stdout: No space left on device\n"
+
+    def test_pipe_closed_after_ten_bytes(self, argv):
+        # The reader takes 10 bytes and closes, as `head -c 10` does. The pipe is
+        # full before the command starts, so its first write still waits when the
+        # reader closes, however short the document.
+        read_end, write_end = os.pipe()
+        fill_pipe(write_end)
+        proc = start_cli(argv, write_end)
+        os.close(write_end)
+        assert len(os.read(read_end, 10)) == 10
+        os.close(read_end)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert err == "cannot write to stdout: Broken pipe\n"

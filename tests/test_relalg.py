@@ -9,17 +9,19 @@ import time
 import pytest
 
 from skewrel import actions, relalg
-from skewrel.actions import PartialAction, build_relation
+from skewrel.actions import PartialAction, build_relation, enumerate_invariant_subsets
+from skewrel.documents import load_action
 from skewrel.errors import NotFreeError, PreconditionError
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS, Scalar
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle
-from skewrel.funalg import FunAlgElement, InducedAlgebraAction
+from skewrel.funalg import FunAlgElement, InducedAlgebraAction, accumulate
 from skewrel.groups import GroupSpec
 from skewrel.relalg import (ExactRowSpace, RelElement, brute_force_ideal_span,
                             count_ideals, gamma, gamma_inv, ideal_closure_of,
                             ideal_from_invariant, ideal_membership, span_of_ideal)
 from skewrel.selftest import random_rel, random_scalar, random_skew
 from skewrel.skew import SkewElement
+from strategies import draw_any
 from test_skew import cyclic_action
 
 Q = FieldSpec(RATIONALS)
@@ -570,3 +572,104 @@ def test_oracle_adds_the_same_vectors_under_any_hash_seed():
         runs.append(json.loads(done.stdout))
     assert len(runs[0]) > 100
     assert runs[0] == runs[1]
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def reference_gamma(rel, u):
+    """Gamma as it was before it built the pairs once in term order: it added each
+    term's values up in stored order, and on a pair outside R walked the terms a
+    second time, in term order, to name the first one."""
+    relalg._require_free(rel)
+    out: dict = {}
+    for t, a in u.coeffs.items():
+        h = u.action.pull_map(t)
+        for x, c in a.coeffs.items():
+            accumulate(out, (x, h[x]), c)
+    if not out.keys() <= rel.pairs.keys():
+        relalg._require_pairs(rel, {(x, u.action.pull_map(t)[x]): c
+                                    for t, a in u.sorted_terms() for x, c in a.coeffs.items()})
+    return RelElement._raw((u.action.field, rel), out)
+
+
+def reference_membership(g, ideal):
+    """Membership as it was before it read the invariant subset: every pair of
+    g's support in the materialised basis of the ideal."""
+    if g.relation != ideal.relation:
+        raise PreconditionError("element and ideal over different relations")
+    basis = set(ideal.basis)
+    return all(p in basis for p in g.coeffs)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the PreconditionError it raises."""
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return "error: %s" % exc
+
+
+def reference_cases():
+    """(name, action): the desk fixtures, cyc-8-12 and z3-six-classes."""
+    files = [load_action(os.path.join(DATA, name + ".json"))[1]
+             for name in ("cyc-8-12", "z3-six-classes")]
+    return list(zip(["E1", "E2", "cyc-8-12", "z3-six-classes"],
+                    [e1_action(), e2_action()] + files))
+
+
+class TestGammaMatchesTheReference:
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    def test_images_are_equal(self, field):
+        rng = random.Random(41)
+        compared = 0
+        for name, action in reference_cases():
+            _action, rel, alpha = fixture_bundle(field, action)
+            for _ in range(40 if name == "cyc-8-12" else 150):
+                u = random_skew(rng, alpha)
+                image = gamma(rel, u)
+                assert image == reference_gamma(rel, u)
+                assert image.support() == reference_gamma(rel, u).support()
+                compared += not u.is_zero()
+        assert compared > 250
+
+    def test_a_relation_of_another_action_gives_the_same_error(self):
+        # The other action keeps some listed elements of the first, so some
+        # elements map into its relation and the others name a pair outside it.
+        rng = random.Random(42)
+        errors = images = 0
+        for name, action in reference_cases():
+            _action, rel, alpha = fixture_bundle(Q, action)
+            for _ in range(30):
+                kept = {t: h for t, h in action.maps.items() if rng.random() < 0.5}
+                other = build_relation(PartialAction(action.group, action.carrier, kept))
+                u = random_skew(rng, alpha)
+                got = outcome(gamma, other, u)
+                assert got == outcome(reference_gamma, other, u)
+                errors += isinstance(got, str)
+                images += not isinstance(got, str)
+        assert errors > 30 and images > 10
+
+
+class TestMembershipMatchesTheReference:
+    def test_verdicts_are_equal(self):
+        rng = random.Random(43)
+        relations = [fixture_bundle(Q, action)[1] for _name, action in reference_cases()]
+        relations += [build_relation(draw_any(rng, free_only=True).action) for _ in range(150)]
+        compared = members = 0
+        for rel in relations:
+            subsets = enumerate_invariant_subsets(rel)
+            for subset in rng.sample(subsets, min(8, len(subsets))):
+                ideal = ideal_from_invariant(rel, subset)
+                inside = [p for p in rel.sorted_pairs() if p[0] in ideal.invariant]
+                for _ in range(20):
+                    # Mostly pairs of the ideal, now and then one pair of R outside it.
+                    chosen = rng.sample(inside, rng.randint(0, len(inside)))
+                    if rel.pairs and rng.random() < 0.4:
+                        chosen.append(rng.choice(rel.sorted_pairs()))
+                    g = RelElement._raw((Q, rel), {p: Q.raw(1) for p in chosen})
+                    verdict = ideal_membership(g, ideal)
+                    assert verdict == reference_membership(g, ideal)
+                    compared += 1
+                    members += verdict
+        assert compared >= 5000 and 1000 < members < compared - 1000

@@ -1,3 +1,5 @@
+import operator
+import os
 import random
 import time
 from fractions import Fraction
@@ -5,14 +7,17 @@ from fractions import Fraction
 import pytest
 
 from skewrel.actions import PartialAction, build_relation
+from skewrel.documents import load_action
 from skewrel.errors import PreconditionError
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle
 from skewrel.funalg import FunAlgElement, InducedAlgebraAction, accumulate
 from skewrel.groups import GroupSpec
-from skewrel.relalg import gamma_inv
-from skewrel.selftest import random_rel, random_skew
+from skewrel.relalg import ExactRowSpace, gamma_inv
+from skewrel.selftest import _squared_skew_mul, random_rel, random_skew, random_value
 from skewrel.skew import SkewElement
+
+from strategies import draw_any
 
 Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)
@@ -245,3 +250,168 @@ class TestFusedProduct:
         f = FunAlgElement(Q, alpha.carrier, {x: Q.from_int(1) for x in ("3", "2", "1")})
         with pytest.raises(PreconditionError, match=r"^a_2 has support outside X_2 at 1,2$"):
             SkewElement(alpha, {alpha.action.group.element(2): f})
+
+
+CYC_8_12 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cyc-8-12.json")
+
+
+class SkewIdealOracle:
+    """The ideal A·u·A of A = F0(X) x G, from products of monomials 1_x delta_t alone.
+
+    Its coefficient space has a column per (t, x) with x in X_t. A is unital,
+    1 = sum of the 1_x delta_e, so two passes of row reduction suffice, as in
+    the F0(R) oracle: the products m * u over monomials m, then each basis row
+    f times each monomial. It uses neither Gamma nor the R-classes. Products
+    zero by support are skipped: (1_x delta_t) * u needs h_{t^-1}(x) among the
+    points of u, and f * (1_y delta_s) needs y = h_{t^-1}(x) for a point x of
+    f's term at t. ``mul`` is the product under test.
+    """
+
+    def __init__(self, alpha, mul=operator.mul):
+        self.alpha, self.mul = alpha, mul
+        pulls = alpha.action.pulls
+        self.cells = [(t, x) for t, domain in alpha.action.domains.items() for x in domain]
+        self.column = {cell: i for i, cell in enumerate(self.cells)}
+        self.landing, self.at = {}, {}     # y -> the (t, x) with h_{t^-1}(x) = y; with x = y
+        for t, x in self.cells:
+            self.landing.setdefault(pulls[t][x], []).append((t, x))
+            self.at.setdefault(x, []).append((t, x))
+
+    def monomial(self, cell):
+        t, x = cell
+        return SkewElement.monomial(self.alpha, x, t)
+
+    def row(self, u) -> dict:
+        # A faulty product may leave X_t; such a cell gets a column of its own.
+        column = self.column
+        return {column.setdefault((t, x), len(column)): c
+                for t, a in u.terms.items() for x, c in a.coeffs.items()}
+
+    def element(self, row):
+        terms = {}
+        cells = {i: cell for cell, i in self.column.items()}
+        for col, c in row.items():
+            t, x = cells[col]
+            terms.setdefault(t, {})[x] = c
+        context = (self.alpha.field, self.alpha.carrier)
+        return SkewElement._raw((self.alpha,), {t: FunAlgElement._raw(context, a)
+                                                for t, a in terms.items()})
+
+    def ideal(self, u) -> ExactRowSpace:
+        pulls = self.alpha.action.pulls
+        space = ExactRowSpace(self.alpha.field, len(self.cells))
+        points = {x for a in u.terms.values() for x in a.coeffs}
+        left = {c for y in points for c in self.landing.get(y, ())}
+        for cell in sorted(left, key=self.column.get):
+            space.add(self.row(self.mul(self.monomial(cell), u)))
+        for f in [self.element(row) for row in space.rows.values()]:
+            # A faulty product's points outside X_t have no h_{t^-1} to follow.
+            ends = {pulls[t][x] for t, a in f.terms.items()
+                    for x in a.coeffs if x in pulls.get(t, {})}
+            for cell in sorted({c for y in ends for c in self.at[y]}, key=self.column.get):
+                space.add(self.row(self.mul(f, self.monomial(cell))))
+        return space
+
+    def span(self, elements) -> ExactRowSpace:
+        space = ExactRowSpace(self.alpha.field, len(self.cells))
+        for u in elements:
+            space.add(self.row(u))
+        return space
+
+    def predicted(self, u) -> ExactRowSpace:
+        """The span of the 1_x delta_t with x in the invariant closure of u's points:
+        the points u's points reach under the stored maps h_t."""
+        maps = self.alpha.action.maps
+        reached = {x for a in u.terms.values() for x in a.coeffs}
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for h in maps.values():
+                if x in h and h[x] not in reached:
+                    reached.add(h[x])
+                    frontier.append(h[x])
+        return self.span(self.monomial(cell) for cell in self.cells if cell[1] in reached)
+
+
+def z2_fixing_a_point(field):
+    """Z_2 = {e, g} on one point p with h_g(p) = p: A = F0({p}) x Z_2 is the group algebra."""
+    z2 = GroupSpec.cyclic(2)
+    alpha = InducedAlgebraAction(field, PartialAction(z2, ["p"], {z2.element(1): {"p": "p"}}))
+    one, g = (SkewElement.monomial(alpha, "p", t) for t in z2.elements())
+    return alpha, one, g
+
+
+def sparse_skew(rng, alpha, terms):
+    """A sum of one to ``terms`` monomials with random nonzero coefficients."""
+    cells = [(t, x) for t, domain in alpha.action.domains.items() for x in domain]
+    coeffs = {}
+    for t, x in rng.sample(cells, rng.randint(1, terms)):
+        coeffs.setdefault(t, {})[x] = random_value(rng, alpha.field)
+    context = (alpha.field, alpha.carrier)
+    return SkewElement._raw((alpha,), {t: FunAlgElement._raw(context, a)
+                                       for t, a in coeffs.items()})
+
+
+def ideal_theorem_failures(mul) -> list:
+    """The cases where A·u·A under mul is not the span the paper's ideal theorem
+    predicts: random u over E1, E2 and generated free actions, sparse u over
+    cyc-8-12, over Q and GF(5); and in the group algebra of Z_2, where the
+    theorem does not apply, 1 + g and 1 - g each spanning the 1-dimensional
+    ideal they generate. On a free action every ideal is spanned by monomials,
+    so only that last case sees a product that gets the coefficients wrong."""
+    failures = []
+    _q, cyc = load_action(CYC_8_12)
+    rng = random.Random(77)
+    generated = [draw_any(rng, free_only=True).action for _ in range(20)]
+    for field in (Q, F5):
+        cases = [("E1", e1_action(), 25), ("E2", e2_action(), 25), ("cyc-8-12", cyc, 6)]
+        cases += [("generated %d" % i, action, 3) for i, action in enumerate(generated)]
+        for name, action, trials in cases:
+            alpha = InducedAlgebraAction(field, action, validate=False)
+            oracle = SkewIdealOracle(alpha, mul)
+            for i in range(trials):
+                if name == "cyc-8-12":
+                    u = sparse_skew(rng, alpha, 3)
+                else:
+                    u = random_skew(rng, alpha)
+                if oracle.ideal(u) != oracle.predicted(u):
+                    failures.append("%s over %s, trial %d" % (name, field.kind, i))
+        alpha, one, g = z2_fixing_a_point(field)
+        oracle = SkewIdealOracle(alpha, mul)
+        for name, u in (("1 + g", one + g), ("1 - g", one - g)):
+            if oracle.ideal(u) != oracle.span([u]):
+                failures.append("Z_2 fixing p over %s: %s" % (field.kind, name))
+    return failures
+
+
+def skew_mul_without_pull(u, v):
+    """(a_t delta_t)(b_s delta_s) taken as (a_t b_s) delta_ts, without h_{t^-1}."""
+    out = {}
+    for t, a in u.terms.items():
+        for s, b in v.terms.items():
+            if (ab := a * b).coeffs:
+                accumulate(out, t * s, ab)
+    return SkewElement._raw((u.action,), out)
+
+
+class TestIdealTheorem:
+    def test_ideals_are_the_spans_over_invariant_closures(self):
+        start = time.perf_counter()
+        assert ideal_theorem_failures(operator.mul) == []
+        assert time.perf_counter() - start < 3.0
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    def test_a_fixed_point_breaks_the_theorem(self, field):
+        # 1 + g generates a 1-dimensional ideal, but its closure {p} predicts both
+        # 1_p delta_e and 1_p delta_g: why every F0(R) operation refuses non-free actions.
+        alpha, one, g = z2_fixing_a_point(field)
+        oracle = SkewIdealOracle(alpha)
+        assert g * (one + g) == one + g
+        assert oracle.ideal(one + g).dimension == 1
+        assert oracle.predicted(one + g).dimension == 2
+        assert not build_relation(alpha.action).is_free()
+
+    @pytest.mark.parametrize("mul", [_squared_skew_mul, skew_mul_without_pull],
+                             ids=["squared", "without-pull"])
+    def test_faulty_products_break_it(self, mul):
+        assert ideal_theorem_failures(mul)
