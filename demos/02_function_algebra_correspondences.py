@@ -4,8 +4,8 @@ structural correspondences (points, bijections, subsets, actions).
 Run with: python3 demos/02_function_algebra_correspondences.py
 """
 
-from skewrel import (FieldSpec, FunAlgElement, bijection_from_isomorphism,
-                     classify_linear_functional, induce_algebra_action,
+from skewrel import (FieldSpec, FunAlgElement, InducedAlgebraAction,
+                     bijection_from_isomorphism, classify_linear_functional,
                      psi_from_bijection, recover_set_action, subset_of_ideal)
 from skewrel.fixtures import e1_action
 
@@ -36,7 +36,7 @@ print("ideal generated by 2*delta_a + delta_b lives on", subset_of_ideal([f]))
 # A set-level partial action induces an algebra-level one, and the set level
 # can be recovered from the algebra level exactly.
 theta = e1_action()
-alpha = induce_algebra_action(Q, theta)
+alpha = InducedAlgebraAction(Q, theta)
 g = theta.group.element(1)
 print("alpha_g(delta_a) =", alpha.apply(g, FunAlgElement.delta(Q, theta.carrier, "a")))
 

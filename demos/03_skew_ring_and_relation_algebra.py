@@ -4,9 +4,9 @@ convolution, the isomorphism between them, and the ideal lattice.
 Run with: python3 demos/03_skew_ring_and_relation_algebra.py
 """
 
-from skewrel import (FieldSpec, RelElement, SkewElement, brute_force_ideal_span,
-                     count_ideals, gamma, gamma_inv, ideal_closure_of,
-                     ideal_from_invariant, span_of_ideal)
+from skewrel import (FieldSpec, RelElement, RelIdeal, SkewElement,
+                     brute_force_ideal_span, count_ideals, gamma, gamma_inv,
+                     ideal_closure_of, span_of_ideal)
 from skewrel.actions import enumerate_invariant_subsets
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle
 
@@ -35,7 +35,7 @@ print("E_21 * E_21 =", e21 * e21)
 # Ideals correspond to invariant subsets: 2^k of them for k classes.
 print("\nideal count: E1 ->", count_ideals(rel1), " E2 ->", count_ideals(rel2))
 for members in enumerate_invariant_subsets(rel1):
-    ideal = ideal_from_invariant(rel1, members)
+    ideal = RelIdeal(rel1, members)
     print("  Z = %-12s dimension %d" % (members, ideal.dimension))
 
 # The oracle computes the ideal A·f·A in two passes (all delta_p * f, then
@@ -43,6 +43,6 @@ for members in enumerate_invariant_subsets(rel1):
 # ideal generated by a single element is determined by its class closure.
 f = RelElement.delta(Q, rel1, "a", "b")
 oracle = brute_force_ideal_span(Q, rel1, [f])
-closed = span_of_ideal(Q, ideal_from_invariant(rel1, ideal_closure_of(f)))
+closed = span_of_ideal(Q, RelIdeal(rel1, ideal_closure_of(f)))
 print("\nspan of <delta_(a,b)> has dimension", oracle.dimension,
       "and matches the classification:", oracle == closed)

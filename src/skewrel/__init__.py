@@ -8,12 +8,11 @@ from .actions import (PartialAction, Relation, build_relation, check_free,
 from .fields import FieldSpec, Scalar
 from .funalg import (FunAlgElement, InducedAlgebraAction, LinearMapOnBasis,
                      bijection_from_isomorphism, classify_linear_functional,
-                     induce_algebra_action, psi_from_bijection, recover_set_action,
-                     subset_of_ideal)
+                     psi_from_bijection, recover_set_action, subset_of_ideal)
 from .groups import GroupElement, GroupSpec
 from .relalg import (RelElement, RelIdeal, brute_force_ideal_span, count_ideals,
-                     gamma, gamma_inv, ideal_closure_of, ideal_from_invariant,
-                     ideal_membership, span_of_ideal)
+                     gamma, gamma_inv, ideal_closure_of, ideal_membership,
+                     span_of_ideal)
 from .skew import SkewElement
 
 __all__ = [
@@ -23,11 +22,10 @@ __all__ = [
     "invariant_closure", "enumerate_invariant_subsets", "witness",
     "FunAlgElement", "LinearMapOnBasis", "classify_linear_functional",
     "psi_from_bijection", "bijection_from_isomorphism", "subset_of_ideal",
-    "InducedAlgebraAction", "induce_algebra_action", "recover_set_action",
+    "InducedAlgebraAction", "recover_set_action",
     "SkewElement",
-    "RelElement", "RelIdeal", "gamma", "gamma_inv", "ideal_from_invariant",
-    "ideal_closure_of", "ideal_membership", "brute_force_ideal_span",
-    "span_of_ideal", "count_ideals",
+    "RelElement", "RelIdeal", "gamma", "gamma_inv", "ideal_closure_of",
+    "ideal_membership", "brute_force_ideal_span", "span_of_ideal", "count_ideals",
 ]
 
 __version__ = "0.1.0"

@@ -160,7 +160,6 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
         return set(maps.get(u, {}).values())
 
     report = ValidationReport()
-    elems = pa.check_elements()
 
     # Coherence of the stored family: the domain of h_t must be X_{t^-1}.
     for t in pa.listed():
@@ -179,16 +178,17 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     # two of X_t, X_s, X_ts or their inverses: pairs with fewer than two of
     # t, s, ts in maps compare only empty sets. The others are (t, s), (t, t^-1 u)
     # and (u s^-1, s) over t, s, u in maps, built directly: O(|maps|^2) pairs.
+    # Its keys t = e^-1 t and u t^-1 = (u^-1)^-1 t^-1 lie in pa.check_elements().
     partners: dict[GroupElement, set] = {}
     for t in maps:
         ti = t.inverse()
         for u in maps:
             partners.setdefault(t, set()).update((u, ti * u))
             partners.setdefault(u * ti, set()).add(t)
-    for t in elems:
+    for t in sorted(partners, key=GroupElement.sort_key):
         x_t = subset(t)
         x_tinv = subset(t.inverse())
-        for s in sorted(partners.get(t, ()), key=GroupElement.sort_key):
+        for s in sorted(partners[t], key=GroupElement.sort_key):
             ts = t * s
             x_s = subset(s)
             # (2) h_t(X_{t^-1} & X_s) = X_t & X_{ts}

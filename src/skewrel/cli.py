@@ -35,15 +35,30 @@ MAX_IDEAL_CLASSES = 16
 _ESCAPED_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
-def _emit(doc) -> int:
-    """Write one document to stdout; a failed write or flush raises DocumentError."""
+def _write(text: str, end="\n"):
+    """Write text to stdout and flush; a failed write or flush raises DocumentError."""
     try:
-        print(dump_json(doc), flush=True)
+        print(text, end=end, flush=True)
     except OSError as exc:
         # Send what stays buffered to devnull, so that the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise DocumentError("cannot write to stdout: %s" % (exc.strerror or exc)) from None
+
+
+def _emit(doc) -> int:
+    """Write one document to stdout through _write."""
+    _write(dump_json(doc))
     return EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints help to stdout through _write: argparse's own writer ignores an OSError."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _write(self.format_help(), end="")
+        else:
+            super().print_help(file)
 
 
 def _free_relation(path):
@@ -80,11 +95,12 @@ def cmd_relation(args) -> int:
 
 def cmd_ideals(args) -> int:
     field, action, rel = _free_relation(args.action)
-    classes = equivalence_classes(rel)
+    classes = rel.classes
     if len(classes) > MAX_IDEAL_CLASSES:
         raise PreconditionError("ideals lists at most %d classes (2^%d ideals); this action has %d"
                                 % (MAX_IDEAL_CLASSES, MAX_IDEAL_CLASSES, len(classes)))
     # Subset number mask unions the classes i with bit i set: dimension sum |C|^2.
+    # enumerate_invariant_subsets checks that the components in rel.classes are R's classes.
     ideals = []
     for mask, invariant in enumerate(enumerate_invariant_subsets(rel)):
         chosen = [block for i, block in enumerate(classes) if mask >> i & 1]
@@ -136,7 +152,7 @@ def non_negative_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewrel",
         description="Partial skew group rings as equivalence-relation algebras")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,10 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:   # argparse exits 0 after --help, 2 after its usage message
-        return EXIT_IO if exc.code else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:   # argparse exits 0 after --help, 2 after its usage message
+            return EXIT_IO if exc.code else EXIT_OK
         try:
             return args.func(args)
         except ValidationFailure as exc:

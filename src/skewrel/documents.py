@@ -1,9 +1,9 @@
 """JSON documents for actions and algebra elements.
 
-All documents are strict: unknown keys are rejected, scalars travel as
-strings ("5/6", "3") so no float ever enters the pipeline, and serialization
-orders everything deterministically (carrier order for points, identity
-first then encoding order for group elements).
+All documents are strict: unknown and repeated keys are rejected, scalars
+travel as strings ("5/6", "3") so no float ever enters the pipeline, and
+serialization orders everything deterministically (carrier order for points,
+identity first then encoding order for group elements).
 """
 
 from __future__ import annotations
@@ -232,10 +232,22 @@ def rel_doc(f: RelElement) -> list:
         return [{"x": x, "y": y, "value": str(f.coeffs[(x, y)])} for (x, y) in f.support()]
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of these pairs; a repeated key raises ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise ValueError("duplicate key %s" % json.dumps(key, ensure_ascii=False))
+            seen.add(key)
+    return obj
+
+
 def load_json(path):
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:   # bad JSON, UTF-8, int size or nesting
         raise DocumentError("cannot read %s: %s" % (path, exc)) from exc
 

@@ -284,10 +284,6 @@ class InducedAlgebraAction:
                 and self.action == other.action)
 
 
-def induce_algebra_action(field: FieldSpec, theta: PartialAction) -> InducedAlgebraAction:
-    return InducedAlgebraAction(field, theta)
-
-
 def recover_set_action(field: FieldSpec, group, carrier, family) -> PartialAction:
     """Rebuild the set-level action from an algebra-level one.
 

@@ -11,9 +11,10 @@ that convolution reads when it is a right factor, the oracle indexes its
 units by each coordinate once per call, and its row space indexes its rows
 by column.
 
-Every operation here refuses non-free actions: with multiple witnesses the
-pair-indexed convolution would double-count, a case the construction does
-not define.
+F0(R) is built only over a free action: with multiple witnesses convolution
+would double-count, a case the construction does not define. The checked
+constructor of RelElement refuses a non-free R, and operations trust their
+operands' relation; the oracle, which takes a bare relation, checks it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ def _require_free(rel: Relation):
 
 
 def _require_pairs(rel: Relation, pairs: dict) -> Relation:
-    """rel; raises PreconditionError naming a pair that is not in R."""
+    """rel; raises NotFreeError unless R is free, PreconditionError naming a pair not in R."""
+    _require_free(rel)
     if not pairs.keys() <= rel.pairs.keys():
         pair = next(p for p in pairs if p not in rel.pairs)
         raise PreconditionError("pair (%s, %s) is not in R" % pair)
@@ -68,7 +70,6 @@ class RelElement(SparseSum):
     def __mul__(self, other: "RelElement") -> "RelElement":
         """Convolution: match middle coordinates over stored support only."""
         self._check(other)
-        _require_free(self.relation)
         by_first = other.by_first
         out: dict = {}
         for (x, y), c in self.coeffs.items():
@@ -87,7 +88,6 @@ class RelElement(SparseSum):
 def gamma(rel: Relation, u: SkewElement) -> RelElement:
     """The isomorphism F0(X) x G -> F0(R): f delta_t |-> value f(x) at (x, h_{t^-1}(x)),
     a re-indexing, as a free action sends distinct (t, x) to distinct pairs."""
-    _require_free(rel)
     out: dict = {}
     for t, a in u.sorted_terms():              # an error names the first pair outside R
         h = u.action.pull_map(t)               # h_{t^-1}, defined on X_t
@@ -99,7 +99,6 @@ def gamma_inv(alpha: InducedAlgebraAction, f: RelElement) -> SkewElement:
     """Inverse of gamma: coefficient at (x, y) with witness s feeds the term
     at t = s^-1 with f_t(x) = f(x, h_{t^-1}(x))."""
     rel = f.relation
-    _require_free(rel)
     coeffs: dict = {}          # s -> {x: f_{s^-1}(x)}; x and s fix y, so no x repeats
     for (x, y), c in f.coeffs.items():
         coeffs.setdefault(rel.pairs[x, y][0], {})[x] = c    # the one witness, as R is free
@@ -132,14 +131,9 @@ class RelIdeal:
                 and self.invariant == other.invariant)
 
 
-def ideal_from_invariant(rel: Relation, members) -> RelIdeal:
-    return RelIdeal(rel, members)
-
-
 def ideal_closure_of(f: RelElement) -> list[str]:
     """Invariant subset generating the same ideal as f: the class closure of
     the first coordinates of its support."""
-    _require_free(f.relation)
     firsts = {x for (x, _y) in f.coeffs}
     return invariant_closure(f.relation, firsts)
 

@@ -23,8 +23,8 @@ from .fixtures import GF5, RATIONALS_FIELD, e1_action, e2_action, fixture_bundle
 from .funalg import (FunAlgElement, InducedAlgebraAction, bijection_from_isomorphism,
                      classify_linear_functional, psi_from_bijection, recover_set_action)
 from .groups import GroupSpec
-from .relalg import (RelElement, brute_force_ideal_span, count_ideals, gamma,
-                     gamma_inv, ideal_closure_of, ideal_from_invariant, span_of_ideal)
+from .relalg import (RelElement, RelIdeal, brute_force_ideal_span, count_ideals,
+                     gamma, gamma_inv, ideal_closure_of, span_of_ideal)
 from .skew import SkewElement
 
 
@@ -192,7 +192,7 @@ def suite_ideals(rng, trials, bundles) -> SuiteResult:
             if f.is_zero():
                 continue
             oracle = brute_force_ideal_span(fld, rel, [f])
-            closed = span_of_ideal(fld, ideal_from_invariant(rel, ideal_closure_of(f)))
+            closed = span_of_ideal(fld, RelIdeal(rel, ideal_closure_of(f)))
             suite.check(oracle == closed,
                         "%s trial %d: ideal span mismatch for f=%r", name, i, f)
     return suite

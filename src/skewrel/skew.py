@@ -83,11 +83,6 @@ class SkewElement(SparseSum):
         context = (alpha.field, alpha.carrier)
         return self._like({ts: FunAlgElement._raw(context, term) for ts, term in out.items()})
 
-    def validate(self) -> bool:
-        """True iff every stored a_t is supported inside X_t."""
-        return all(a.coeffs.keys() <= self.action.pull_map(t).keys()
-                   for t, a in self.coeffs.items())
-
     def __repr__(self):
         if self.is_zero():
             return "0"

@@ -22,9 +22,8 @@ from skewrel.funalg import (InducedAlgebraAction, bijection_from_isomorphism,
                             classify_linear_functional, psi_from_bijection,
                             recover_set_action)
 from skewrel.groups import GroupSpec
-from skewrel.relalg import (RelElement, brute_force_ideal_span, count_ideals, gamma,
-                            gamma_inv, ideal_closure_of, ideal_from_invariant,
-                            span_of_ideal)
+from skewrel.relalg import (RelElement, RelIdeal, brute_force_ideal_span, count_ideals,
+                            gamma, gamma_inv, ideal_closure_of, span_of_ideal)
 from skewrel.selftest import random_rel, random_scalar, random_skew
 
 Q = FieldSpec(RATIONALS)
@@ -130,7 +129,7 @@ def test_criterion_5_ideal_classification():
             done += 1
             oracle = brute_force_ideal_span(Q, rel, [f])
             closed = span_of_ideal(
-                Q, ideal_from_invariant(rel, ideal_closure_of(f)))
+                Q, RelIdeal(rel, ideal_closure_of(f)))
             ok = ok and oracle == closed
         if not ok:
             break

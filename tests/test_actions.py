@@ -13,6 +13,7 @@ from skewrel.actions import (Carrier, PartialAction, Relation, Violation, build_
 from skewrel.errors import PreconditionError, StructureError
 from skewrel.fixtures import e1_action, e2_action, trivial_action
 from skewrel.groups import GroupElement, GroupSpec
+from skewrel.relalg import count_ideals
 
 from test_groups import s3_table_from_permutations
 from test_skew import cyclic_action
@@ -504,6 +505,24 @@ class TestClassIndex:
                 assert got == triple_scan_equivalence(broken)
                 seen[got, broken.is_free()] += 1
         assert min(seen.values()) > 50      # every verdict, free and not, was compared
+
+    def test_readers_refuse_a_relation_that_is_not_an_equivalence(self):
+        rng = random.Random(10)
+        names, table = s3_table_from_permutations()
+        groups = [GroupSpec.cyclic(4), GroupSpec.integers(),
+                  GroupSpec.from_table(names, "e", table)]
+        refused = 0
+        for trial in range(150):
+            rel = build_relation(random_valid_action(rng, groups[trial % len(groups)]))
+            for broken in broken_relations(rng, rel):
+                if triple_scan_equivalence(broken):
+                    continue
+                for reader in (equivalence_classes, enumerate_invariant_subsets, count_ideals):
+                    with pytest.raises(PreconditionError,
+                                       match="^relation is not an equivalence relation$"):
+                        reader(broken)
+                refused += 1
+        assert refused > 100
 
     def test_readers_match_the_pair_scans(self):
         rng = random.Random(9)

@@ -9,11 +9,11 @@ import pytest
 
 from skewrel import actions
 from skewrel.actions import build_relation, enumerate_invariant_subsets, equivalence_classes
-from skewrel.cli import main
+from skewrel.cli import build_parser, main
 from skewrel.documents import (action_doc, dump_json, parse_action_document)
 from skewrel.errors import DocumentError, ValidationFailure
 from skewrel.fixtures import GF5, RATIONALS_FIELD, e1_action, e2_action
-from skewrel.relalg import ideal_from_invariant
+from skewrel.relalg import RelIdeal
 
 from strategies import draw_any
 
@@ -209,9 +209,20 @@ class TestCommands:
                      "duplicate entry for (a, b)", id="duplicate-rel-entry"),
         pytest.param(E1_DOC, "skew", [{"t": "1", "coeffs": {"zzz": "1"}}],
                      "zzz is not a carrier point", id="coefficient-off-carrier"),
+        # A repeated key is refused where the JSON is read, whichever value would win.
+        pytest.param(json.dumps(E1_DOC)[:-1].encode() + b', "maps": []}', None, None,
+                     'cannot read TMP/action.json: duplicate key "maps"', id="duplicate-key-maps"),
+        pytest.param(E1_DOC, "skew", b'[{"t": "1", "coeffs": {"a": "1", "a": "2"}}]',
+                     'cannot read TMP/elem.json: duplicate key "a"', id="duplicate-key-in-term"),
     ])
     def test_malformed_document_message(self, tmp_path, capsys, doc, algebra, element, message):
+        message = message.replace("TMP", str(tmp_path))
         assert run_document(tmp_path, capsys, doc, algebra, element) == (3, "", message + "\n")
+
+    def test_help_writes_argparse_text_and_exits_0(self, capsys):
+        assert run(capsys, "--help") == (0, build_parser().format_help(), "")
+        code, out, err = run(capsys, "ideals", "--help")
+        assert (code, err) == (0, "") and out.startswith("usage: skewrel ideals [-h] action\n")
 
     def test_table_group_document(self, tmp_path, capsys):
         code, out, _ = run(capsys, "validate", write(tmp_path, "z2.json", Z2_DOC))
@@ -288,7 +299,7 @@ class TestCommands:
             code, out, _ = run(capsys, "ideals", write(tmp_path, "triv.json", doc))
             assert code == 0 and len(json.loads(out)["ideals"]) == 1 << k
             counts.append(len(calls))
-        assert counts[0] == counts[1]
+        assert counts == [1, 1]
 
     def test_ideals_refuses_more_than_sixteen_classes(self, tmp_path, capsys):
         # 17 fixed points are 17 classes, so 2^17 ideals: refused before enumerating.
@@ -418,7 +429,7 @@ def reference_ideals_doc(rel):
     classes = equivalence_classes(rel)
     ideals = []
     for members in enumerate_invariant_subsets(rel):
-        ideal = ideal_from_invariant(rel, members)
+        ideal = RelIdeal(rel, members)
         ideals.append({
             "invariant": ideal.invariant,
             "basis_size": ideal.dimension,
@@ -453,10 +464,12 @@ WRITE_CASES = {
 }
 
 
-def start_cli(argv, stdout):
+def start_cli(argv, stdout, unbuffered=False):
     # Python's default buffered stdout, which holds a document until a flush.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "skewrel.cli", *argv], cwd=ROOT, env=env,
                             stdout=stdout, stderr=subprocess.PIPE, text=True)
 
@@ -474,10 +487,10 @@ def fill_pipe(fd):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full and POSIX pipes")
-@pytest.mark.parametrize("argv", list(WRITE_CASES.values()), ids=list(WRITE_CASES))
 class TestWriteFailures:
     """A document that cannot be written ends with exit 3 and one stderr line."""
 
+    @pytest.mark.parametrize("argv", list(WRITE_CASES.values()), ids=list(WRITE_CASES))
     def test_full_device(self, argv):
         with open("/dev/full", "w") as full:
             proc = start_cli(argv, full)
@@ -485,6 +498,7 @@ class TestWriteFailures:
         assert proc.returncode == 3
         assert err == "cannot write to stdout: No space left on device\n"
 
+    @pytest.mark.parametrize("argv", list(WRITE_CASES.values()), ids=list(WRITE_CASES))
     def test_pipe_closed_after_ten_bytes(self, argv):
         # The reader takes 10 bytes and closes, as `head -c 10` does. The pipe is
         # full before the command starts, so its first write still waits when the
@@ -498,3 +512,13 @@ class TestWriteFailures:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 3
         assert err == "cannot write to stdout: Broken pipe\n"
+
+    # argparse's own printer ignores a failed write: unbuffered, the help would be
+    # lost with exit 0; buffered, the flush at exit would fail with exit 120.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_help_to_full_device(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = start_cli(["--help"], full, unbuffered)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert err == "cannot write to stdout: No space left on device\n"

@@ -10,8 +10,7 @@ from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS, Scalar
 from skewrel.fixtures import e1_action, e2_action
 from skewrel.funalg import (FunAlgElement, InducedAlgebraAction, LinearMapOnBasis,
                             bijection_from_isomorphism, classify_linear_functional,
-                            induce_algebra_action, psi_from_bijection,
-                            recover_set_action, subset_of_ideal)
+                            psi_from_bijection, recover_set_action, subset_of_ideal)
 from skewrel.groups import GroupSpec
 
 from test_actions import StoredMaps, e2_without_h2, random_valid_action
@@ -202,7 +201,7 @@ class TestIdealSubset:
 class TestInducedAction:
     def test_e1_alpha_g(self):
         pa = e1_action()
-        alpha = induce_algebra_action(Q, pa)
+        alpha = InducedAlgebraAction(Q, pa)
         g = pa.group.element(1)
         d_a = FunAlgElement.delta(Q, pa.carrier, "a")
         d_b = FunAlgElement.delta(Q, pa.carrier, "b")
@@ -210,13 +209,13 @@ class TestInducedAction:
 
     def test_identity_acts_trivially(self):
         pa = e1_action()
-        alpha = induce_algebra_action(Q, pa)
+        alpha = InducedAlgebraAction(Q, pa)
         f = FunAlgElement(Q, pa.carrier, {"a": Q.from_int(2), "c": Q.one()})
         assert alpha.apply(pa.identity, f) == f
 
     def test_e2_alpha_1(self):
         pa = e2_action()
-        alpha = induce_algebra_action(Q, pa)
+        alpha = InducedAlgebraAction(Q, pa)
         one = pa.group.element(1)
         d1 = FunAlgElement.delta(Q, pa.carrier, "1")
         d2 = FunAlgElement.delta(Q, pa.carrier, "2")
@@ -224,7 +223,7 @@ class TestInducedAction:
 
     def test_support_violation(self):
         pa = e2_action()
-        alpha = induce_algebra_action(Q, pa)
+        alpha = InducedAlgebraAction(Q, pa)
         d3 = FunAlgElement.delta(Q, pa.carrier, "3")
         with pytest.raises(PreconditionError, match="support"):
             alpha.apply(pa.group.element(1), d3)
@@ -243,7 +242,7 @@ class TestInducedAction:
 
     def test_alpha_inverse_composes_to_identity(self):
         pa = e2_action()
-        alpha = induce_algebra_action(Q, pa)
+        alpha = InducedAlgebraAction(Q, pa)
         for t in pa.listed():
             for x in StoredMaps(pa).subset(t.inverse()):
                 f = FunAlgElement.delta(Q, pa.carrier, x)
@@ -251,7 +250,7 @@ class TestInducedAction:
 
     def test_algebra_action_axioms_on_basis(self):
         for pa in (e1_action(), e2_action()):
-            alpha = induce_algebra_action(Q, pa)
+            alpha = InducedAlgebraAction(Q, pa)
             ref = StoredMaps(pa)
             elems = pa.check_elements()
             for t in elems:

@@ -30,9 +30,15 @@ SPARSE_Z_40 = os.path.join(ROOT, "tests", "data", "sparse-z-40.json")
 # (t = -7, -6, 6, 7). The Z_12 action on {0, 1, 3, 4, 8} by translation has
 # lost the pair 1 -> 4 of h_3. The S3 table group acts on three of its own
 # elements, with an explicit h_(132) that swaps two images of h_(123)^-1.
+# Two are mutants from tests/strategies.py, mutate(rng, draw_any(rng,
+# max_points=6).action) with rng = random.Random(seed): at seed 18, Z_3 on
+# itself has lost the pair 0:0 -> 0:1 of h_1 and its mirror; at seed 23, Z_5
+# on {0:3, 0:4} has h_1 redirected to fix 0:3, and some violations sit at the
+# unlisted t = 2, 3.
 BROKEN = {name: os.path.join(ROOT, "tests", "data", name + ".json")
           for name in ("broken-chain-6-redirect", "broken-z12-dropped-pair",
-                       "broken-s3-bad-inverse")}
+                       "broken-s3-bad-inverse", "broken-z3-dropped-pair",
+                       "broken-z5-redirect")}
 
 
 def _demo(name):

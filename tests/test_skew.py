@@ -96,7 +96,7 @@ class TestMultiplication:
         for alpha in (e1_alpha(), e2_alpha(), e2_alpha(F5)):
             for _ in range(50):
                 u, v = random_skew(rng, alpha), random_skew(rng, alpha)
-                assert (u * v).validate()
+                assert SkewElement(alpha, (u * v).coeffs) == u * v
 
     def test_associativity_random(self):
         rng = random.Random(9)
@@ -118,21 +118,24 @@ class TestValidation:
     def test_supported_term_is_valid(self):
         alpha = e1_alpha()
         g = alpha.action.group.element(1)
-        assert SkewElement.monomial(alpha, "a", g).validate()
+        m = SkewElement.monomial(alpha, "a", g)
+        assert SkewElement(alpha, m.coeffs) == m
 
     def test_unsupported_term_detected(self):
         alpha = e1_alpha()
         g = alpha.action.group.element(1)
         # Only _raw, which kernel results go through, can build it.
         bad = SkewElement._raw((alpha,), {g: FunAlgElement.delta(Q, alpha.carrier, "c")})
-        assert not bad.validate()
+        with pytest.raises(PreconditionError):
+            SkewElement(alpha, bad.coeffs)
         with pytest.raises(PreconditionError):
             SkewElement(alpha, {g: FunAlgElement.delta(Q, alpha.carrier, "c")})
 
     def test_e2_support(self):
         alpha = e2_alpha()
         two = alpha.action.group.element(2)
-        assert SkewElement.monomial(alpha, "3", two).validate()
+        m = SkewElement.monomial(alpha, "3", two)
+        assert SkewElement(alpha, m.coeffs) == m
 
 
 def cyclic_action(n, k):
