@@ -266,11 +266,11 @@ class Relation:
         return pair in self.pairs
 
     def sorted_pairs(self) -> tuple:
-        """The pairs in carrier order of (x, y), read off the classes on the first call."""
+        """The pairs in carrier order of (x, y), sorted on the first call without the classes."""
         if self._sorted_pairs is None:
-            self._sorted_pairs = tuple((x, y) for x in self.carrier
-                                       for y in self.classes[self.class_of[x]]
-                                       if (x, y) in self.pairs)
+            position = self.carrier.position
+            self._sorted_pairs = tuple(sorted(self.pairs,
+                                              key=lambda p: (position[p[0]], position[p[1]])))
         return self._sorted_pairs
 
     def witnesses(self, x: str, y: str):

@@ -5,11 +5,13 @@ For free actions it is isomorphic to the skew ring via Gamma, which sends
 f delta_t to the function supported on pairs (x, h_{t^-1}(x)) with value f(x).
 Ideals are exactly the F0((Z x Z) & R) for R-invariant subsets Z. The
 independent oracle computes the ideal A·G·A generated by a set G in two
-passes of exact row reduction, using only convolution and the unit of A.
-It indexes each operand once: an element keeps the first-coordinate index
-that convolution reads when it is a right factor, the oracle indexes its
-units by each coordinate once per call, and its row space indexes its rows
-by column.
+passes of row reduction, using only convolution and the unit of A. Both stop
+at dimension |T|, for T the pairs R joins to the generators' supports; over
+Q a rank |T| modulo 2^31 - 1 certifies the answer (von zur Gathen-Gerhard,
+Modern Computer Algebra, ch. 5). It indexes each operand once: an element
+keeps the first-coordinate index that convolution reads when it is a right
+factor, the oracle indexes R's pairs by each coordinate once per call, and
+its row space indexes its rows by column.
 
 F0(R) is built only over a free action: with multiple witnesses convolution
 would double-count, a case the construction does not define. The checked
@@ -24,9 +26,12 @@ from functools import cached_property
 
 from .actions import Relation, invariant_closure, equivalence_classes
 from .errors import NotFreeError, PreconditionError
-from .fields import FieldSpec
+from .fields import PRIME_FIELD, FieldSpec
 from .funalg import FunAlgElement, InducedAlgebraAction, SparseSum
 from .skew import SkewElement
+
+
+_CERTIFICATE = FieldSpec(PRIME_FIELD, 2**31 - 1)      # the field of the oracle's certificate
 
 
 def _require_free(rel: Relation):
@@ -200,6 +205,14 @@ class ExactRowSpace:
             self.holders[col].add(piv)
         return True
 
+    @classmethod
+    def units(cls, field: FieldSpec, width: int, columns) -> "ExactRowSpace":
+        """The span of the unit vectors at the given columns, rows in their order."""
+        space, one = cls(field, width), field.raw(1)
+        space.rows = {col: {col: one} for col in columns}
+        space.holders.update((col, {col}) for col in columns)
+        return space
+
     @property
     def dimension(self) -> int:
         return len(self.rows)
@@ -215,50 +228,70 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
     """Coefficient space of the ideal A·G·A generated by G in A = F0(R); the
     oracle for the ideal classification. A is unital (1 = sum of the
     delta_(x,x)), so two passes of row reduction suffice: the delta_p * g,
-    then each basis row f times each delta_q. Either pass stops once the span
-    is the whole space. It uses convolution only, never the R-classes, and
-    skips zero products: it forms delta_(x,y) * g only for y a first
-    coordinate of g and f * delta_(y,z) only for y a second one of f, found
-    through an index of the units by each coordinate, built once per call."""
+    then each basis row f times each delta_q. It uses convolution only, never
+    the R-classes, and skips zero products: it forms delta_(x,y) * g only for
+    y a first coordinate of g and f * delta_(y,z) only for y a second one of
+    f, found through an index of the pairs by each coordinate, built once per
+    call. The ideal lies in the span of T, the (x, e) in R with (x, y), (z, e)
+    in R for a (y, z) in a generator's support; either pass stops at dimension
+    |T|. Over Q, unless a denominator is divisible by P = 2^31 - 1, the passes
+    first run over GF(P) on the generators reduced mod P. Reduction is a ring
+    map there, so it cannot raise the rank: rank |T| makes the answer the unit
+    rows of T, and a shortfall (a numerator divisible by P) runs the exact
+    passes."""
     _require_free(rel)
+    generators = list(generators)          # read twice: for T and for the products
+    if any(g.context != (field, rel) for g in generators):
+        raise PreconditionError(RelElement.mismatch)
     pairs = rel.sorted_pairs()
     column = {pair: i for i, pair in enumerate(pairs)}
-    space = ExactRowSpace(field, len(pairs))
-    one, context = field.raw(1), (field, rel)
-    units = [RelElement._raw(context, {pair: one}) for pair in pairs]
     at: tuple[dict, dict] = ({}, {})     # at[i][y]: the k with pairs[k][i] = y, ascending
     for k, pair in enumerate(pairs):
         for i in (0, 1):
             at[i].setdefault(pair[i], []).append(k)
+    lefts = {pairs[k][0] for g in generators for y, _z in g.coeffs for k in at[1].get(y, ())}
+    rights = {pairs[k][1] for g in generators for _y, z in g.coeffs for k in at[0].get(z, ())}
+    cover = sorted(k for x in lefts for k in at[0][x] if pairs[k][1] in rights)    # T
 
-    def fills(products) -> bool:
-        for f in products:
-            space.add({column[p]: c for p, c in f.coeffs.items()})
-            if space.dimension == space.width:
-                return True
-        return False
+    def span(fld, gens) -> ExactRowSpace:
+        space = ExactRowSpace(fld, len(pairs))
+        one, context, units = fld.raw(1), (fld, rel), {}
 
-    def units_meeting(f, i):
-        # Units delta_p with p[i] among f's coordinates 1 - i: the only ones whose
-        # product with f (d * f for i = 1, f * d for i = 0) can be nonzero.
-        if f.context != context:
-            raise PreconditionError(RelElement.mismatch)
-        ends = {p[1 - i] for p in f.coeffs}
-        return [units[k] for k in sorted(k for y in ends for k in at[i].get(y, ()))]
+        def fills(products) -> bool:
+            for f in products:
+                space.add({column[p]: c for p, c in f.coeffs.items()})
+                if space.dimension == len(cover):
+                    return True
+            return False
 
-    if not fills(d * g for g in generators for d in units_meeting(g, 1)):
-        # Copy the rows first: add() back-substitutes into them.
-        left = [RelElement._raw(context, {pairs[col]: c for col, c in row.items()})
-                for row in space.rows.values()]
-        fills(f * d for f in left for d in units_meeting(f, 0))
-    return space
+        def units_meeting(f, i):
+            # Units delta_p with p[i] among f's coordinates 1 - i: the only ones whose
+            # product with f (d * f for i = 1, f * d for i = 0) can be nonzero.
+            ends = {p[1 - i] for p in f.coeffs}
+            for k in sorted(k for y in ends for k in at[i].get(y, ())):
+                if k not in units:
+                    units[k] = RelElement._raw(context, {pairs[k]: one})
+                yield units[k]
+
+        if not fills(d * g for g in gens for d in units_meeting(g, 1)):
+            # Copy the rows first: add() back-substitutes into them.
+            left = [RelElement._raw(context, {pairs[col]: c for col, c in row.items()})
+                    for row in space.rows.values()]
+            fills(f * d for f in left for d in units_meeting(f, 0))
+        return space
+
+    if field.modulus is None and all(c.denominator % _CERTIFICATE.modulus
+                                     for g in generators for c in g.coeffs.values()):
+        reduced = [RelElement._raw((_CERTIFICATE, rel),
+                                   {p: _CERTIFICATE.raw(c.numerator, c.denominator)
+                                    for p, c in g.coeffs.items()})
+                   for g in generators]
+        if span(_CERTIFICATE, reduced).dimension == len(cover):
+            return ExactRowSpace.units(field, len(pairs), cover)
+    return span(field, generators)
 
 
 def span_of_ideal(field: FieldSpec, ideal: RelIdeal) -> ExactRowSpace:
     """Coefficient space of F0((Z x Z) & R), for comparison with the oracle."""
     column = {pair: i for i, pair in enumerate(ideal.relation.sorted_pairs())}
-    space = ExactRowSpace(field, len(column))
-    one = field.raw(1)
-    for p in ideal.basis:
-        space.add({column[p]: one})
-    return space
+    return ExactRowSpace.units(field, len(column), [column[p] for p in ideal.basis])

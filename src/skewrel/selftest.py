@@ -2,9 +2,11 @@
 
 All randomness flows from one random.Random(seed) instance and every
 iteration order is defined, so a fixed (seed, trials, inputs) triple yields
-a byte-identical report. Coefficients are small by design: numerators in
-{-3..3} minus 0 with denominators in {1, 2, 3} over the rationals, uniform
-nonzero residues over a prime field.
+a byte-identical report. The draws read only its getrandbits (CPython's
+rejection loop below n, Random.sample's pool algorithm for pools up to 21),
+not how the random module writes randint, choice or sample. Coefficients
+are small by design: numerators in {-3..3} minus 0 with denominators in
+{1, 2, 3} over the rationals, uniform nonzero residues over a prime field.
 """
 
 from __future__ import annotations
@@ -56,11 +58,36 @@ _DENOMINATORS = (1, 2, 3)
 _RATIONAL_DRAWS = {(n, d): Fraction(n, d) for n in _NUMERATORS for d in _DENOMINATORS}
 
 
+def _below(bits, n: int) -> int:
+    """A uniform integer in [0, n), n >= 1, from the bound getrandbits ``bits``: the
+    loop of random.Random._randbelow_with_getrandbits, which randrange and choice run."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample(rng: random.Random, pool, k: int) -> list:
+    """rng.sample(pool, k), drawn here by its pool algorithm for pools of 21 or fewer."""
+    n = len(pool)
+    if n > 21:
+        return rng.sample(pool, k)
+    bits, pool, out = rng.getrandbits, list(pool), []
+    for i in range(k):
+        j = _below(bits, n - i)
+        out.append(pool[j])
+        pool[j] = pool[n - i - 1]          # move the last unchosen item into the gap
+    return out
+
+
 def random_value(rng: random.Random, field: FieldSpec):
     """Nonzero raw coefficient from the stated test distribution."""
+    bits = rng.getrandbits
     if field.modulus is not None:
-        return rng.randrange(1, field.modulus)
-    return _RATIONAL_DRAWS[rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)]
+        return 1 + _below(bits, field.modulus - 1)
+    return _RATIONAL_DRAWS[_NUMERATORS[_below(bits, len(_NUMERATORS))],
+                           _DENOMINATORS[_below(bits, len(_DENOMINATORS))]]
 
 
 def random_scalar(rng: random.Random, field: FieldSpec) -> Scalar:
@@ -68,9 +95,8 @@ def random_scalar(rng: random.Random, field: FieldSpec) -> Scalar:
 
 
 def random_funalg(rng, field, carrier, allowed=None) -> FunAlgElement:
-    pool = list(carrier if allowed is None else allowed)
-    size = rng.randint(0, len(pool))
-    support = rng.sample(pool, size)       # allowed lies in the carrier
+    pool = list(carrier if allowed is None else allowed)      # allowed lies in the carrier
+    support = _sample(rng, pool, _below(rng.getrandbits, len(pool) + 1))
     return FunAlgElement._raw((field, Carrier(carrier)),
                               {x: random_value(rng, field) for x in support})
 
@@ -78,17 +104,14 @@ def random_funalg(rng, field, carrier, allowed=None) -> FunAlgElement:
 def random_skew(rng, alpha: InducedAlgebraAction) -> SkewElement:
     domains = alpha.action.domains
     ts = list(domains)
-    count = rng.randint(0, len(ts))
-    terms = {}
-    for t in rng.sample(ts, count):
-        terms[t] = random_funalg(rng, alpha.field, alpha.carrier, domains[t])
-    return SkewElement._raw((alpha,), terms)
+    return SkewElement._raw((alpha,), {
+        t: random_funalg(rng, alpha.field, alpha.carrier, domains[t])
+        for t in _sample(rng, ts, _below(rng.getrandbits, len(ts) + 1))})
 
 
 def random_rel(rng, field, rel) -> RelElement:
     pairs = rel.sorted_pairs()
-    size = rng.randint(0, len(pairs))
-    chosen = rng.sample(pairs, size)
+    chosen = _sample(rng, pairs, _below(rng.getrandbits, len(pairs) + 1))
     return RelElement._raw((field, rel), {p: random_value(rng, field) for p in chosen})
 
 

@@ -207,3 +207,20 @@ def test_criterion_9_wide_sparse_validation(capsys):
     ok = code == 0 and json.loads(capsys.readouterr().out)["ok"] and elapsed < 2.0
     report(9, ok, "validate on 40 one-pair maps of the integers with labels up to "
            "2^40 in %.2fs" % elapsed)
+
+
+def test_criterion_10_dense_oracle_over_q():
+    # Z acting on q0..q31 by partial shifts: one class, |R| = 1024.
+    z = GroupSpec.integers()
+    chain = PartialAction(z, ["q%d" % i for i in range(32)],
+                          {z.element(t): {"q%d" % i: "q%d" % (i + t) for i in range(32 - t)}
+                           for t in range(1, 32)})
+    _, rel, _ = fixture_bundle(Q, chain)
+    rng = random.Random(32)
+    g = RelElement(Q, rel, {p: random_scalar(rng, Q) for p in rel.sorted_pairs()})
+    start = time.process_time()
+    span = brute_force_ideal_span(Q, rel, [g])
+    elapsed = time.process_time() - start
+    ok = span == span_of_ideal(Q, RelIdeal(rel, rel.carrier)) and elapsed < 0.5
+    report(10, ok, "ideal oracle on a dense generator over Q on the 32-point chain "
+           "(|R| = 1024) in %.2f CPU s" % elapsed)

@@ -532,6 +532,96 @@ class TestSpanOfIdeal:
             assert span.holders == expected.holders
 
 
+P = 2**31 - 1         # the prime of the oracle's certificate
+GF_P = FieldSpec(PRIME_FIELD, P)
+
+
+def recording_adds(monkeypatch) -> list:
+    """[(row space, its dimension after the add)] for every ExactRowSpace.add from now on."""
+    adds = []
+    add = ExactRowSpace.add
+
+    def recording(space, vec):
+        grew = add(space, vec)
+        adds.append((space, space.dimension))
+        return grew
+
+    monkeypatch.setattr(ExactRowSpace, "add", recording)
+    return adds
+
+
+class TestOracleCertificate:
+    """The modular certificate against the exact fixed-point reference, and which
+    path each call took: over GF(P) alone, exactly, or both."""
+
+    @staticmethod
+    def run(field, rel, generators, adds) -> set:
+        """Checks the oracle on generators, handed over as an iterator, with the
+        R-classes off limits; returns the fields of the row spaces it filled."""
+        expected = fixed_point_span(field, rel, generators)
+        classes, class_of = rel.classes, rel.class_of
+        rel.classes, rel.class_of = Forbidden(), Forbidden()
+        adds.clear()
+        try:
+            span = brute_force_ideal_span(field, rel, iter(generators))
+        finally:
+            rel.classes, rel.class_of = classes, class_of
+        assert span == expected
+        dimensions: dict = {}
+        for space, dimension in adds:
+            dimensions.setdefault(id(space), []).append(dimension)
+        # Either pass stops at dimension |T|: no space takes a vector after reaching it.
+        assert all(seen.count(expected.dimension) <= 1 for seen in dimensions.values())
+        return {space.field for space, _ in adds}
+
+    def test_matches_the_exact_path_on_generated_actions(self, monkeypatch):
+        adds = recording_adds(monkeypatch)
+        rng = random.Random(18)
+        certified = 0
+        for _ in range(200):
+            pa = draw_any(rng, free_only=True).action
+            for field in (Q, F5):
+                rel = build_relation(pa)
+                generators = [random_rel(rng, field, rel) for _ in range(rng.randint(1, 3))]
+                nonzero = any(not g.is_zero() for g in generators)
+                # Over Q every coefficient is a unit mod P, so the certificate decides.
+                expected = {GF_P if field == Q else F5} if nonzero else set()
+                assert self.run(field, rel, generators, adds) == expected
+                certified += nonzero and field == Q
+        assert certified > 100
+
+    @pytest.mark.parametrize("make_action", ORACLE_ACTIONS, ids=ORACLE_IDS)
+    def test_a_fresh_relation_keeps_its_classes_unread(self, make_action):
+        """The pair order is not cached yet, and sorting it reads no class either."""
+        rel = build_relation(make_action())
+        classes, class_of = rel.classes, rel.class_of
+        rel.classes, rel.class_of = Forbidden(), Forbidden()
+        generators = [RelElement.delta(Q, rel, x, x) for x in rel.carrier[:2]]
+        span = brute_force_ideal_span(Q, rel, generators)
+        rel.classes, rel.class_of = classes, class_of
+        assert span == fixed_point_span(Q, rel, generators)
+
+    @pytest.mark.parametrize("value", [(P, 1), (2 * P, 3), (1, P), (3, 5 * P)],
+                             ids=["P", "2P/3", "1/P", "3/5P"])
+    @pytest.mark.parametrize("make_action", ORACLE_ACTIONS, ids=ORACLE_IDS)
+    def test_a_coefficient_with_p_falls_back(self, value, make_action, monkeypatch):
+        """A numerator divisible by P empties a class mod P, so the rank falls
+        short of |T|; a denominator divisible by P has no reduction at all.
+        Either way the exact passes decide."""
+        adds = recording_adds(monkeypatch)
+        rel = build_relation(make_action())
+        scalar = Q.from_fraction(*value)
+        rng = random.Random(19)
+        for pair in rel.sorted_pairs():
+            alone = RelElement(Q, rel, {pair: scalar})
+            assert self.run(Q, rel, [alone], adds) == {Q}
+            g = random_rel(rng, Q, rel)
+            for generators in ([g + alone], [alone, g]):
+                fields = self.run(Q, rel, generators, adds)
+                if value[1] % P == 0:         # nothing to reduce: only the exact passes run
+                    assert fields == {Q}
+
+
 # Runs the oracle on E2 in a fresh interpreter and prints every vector it hands
 # to ExactRowSpace.add, entries in their dict order.
 RECORD_ORACLE_ADDS = """
