@@ -25,7 +25,7 @@ checking that R is an equivalence relation takes O(|R|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import PreconditionError, StructureError
 from .groups import GroupElement, GroupSpec
@@ -128,21 +128,19 @@ class PartialAction:
         return "PartialAction(%s points, %d maps)" % (len(self.carrier), len(self.maps))
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str           # "domain", "2" or "3"
-    t: GroupElement
-    s: GroupElement | None
-    witness: str
+class Violation(namedtuple("Violation", "axiom t s witness")):
+    """axiom is "domain", "2" or "3"; s is None for a domain violation."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         at = "t=%s" % self.t if self.s is None else "(t,s)=(%s,%s)" % (self.t, self.s)
         return "axiom %s at %s: %s" % (self.axiom, at, self.witness)
 
 
-@dataclass
 class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+    def __init__(self):
+        self.violations: list[Violation] = []
 
     @property
     def ok(self) -> bool:
@@ -214,10 +212,7 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
-class FreenessReport:
-    free: bool
-    counterexample: tuple[GroupElement, str] | None = None
+FreenessReport = namedtuple("FreenessReport", "free counterexample", defaults=(None,))
 
 
 def check_free(pa: PartialAction) -> FreenessReport:

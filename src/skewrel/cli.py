@@ -19,6 +19,7 @@ from .documents import (dump_json, load_action, load_json, parse_rel, parse_skew
 from .errors import (DocumentError, PreconditionError, StructureError,
                      ValidationFailure)
 from .funalg import InducedAlgebraAction
+from .groups import INTEGER_LITERAL
 from .relalg import gamma, gamma_inv
 from .selftest import run_selftest
 
@@ -145,10 +146,18 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_PROPERTY
 
 
-def non_negative_int(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError("must be at least 0, got %s" % text)
+def integer(text: str) -> int:
+    """int(text) for an ASCII literal -?[0-9]+, as documents read group elements."""
+    if not INTEGER_LITERAL.fullmatch(text):
+        raise ValueError(text)
     return int(text)
+
+
+def non_negative_int(text: str) -> int:
+    value = integer(text)
+    if text.startswith("-"):        # "-0" too: a count is [0-9]+
+        raise argparse.ArgumentTypeError("must be at least 0, got %s" % text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the seeded property battery")
     p.add_argument("--action", default=None)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=integer, required=True)
     p.add_argument("--trials", type=non_negative_int, required=True)
     p.add_argument("--corrupt-skew-mul", action="store_true",
                    help=argparse.SUPPRESS)  # fault-injection hook for testing

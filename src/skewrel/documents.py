@@ -253,4 +253,5 @@ def load_json(path):
 
 
 def dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=False)
+    with _printable():      # relation's subset count 2^k has over 4 300 digits from k = 14 285
+        return json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=False)

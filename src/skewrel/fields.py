@@ -4,16 +4,17 @@ There is no floating point anywhere. Elements compute on raw values with
 native + - *: a fractions.Fraction (lowest terms, positive denominator) over Q,
 a residue in [0, p) over GF(p); FieldSpec reduces and inverts them. A Scalar,
 a raw value with its field, is what public constructors and documents use.
+Both are slotted Values written by hand, not dataclasses: each CLI command is
+a fresh interpreter, and importing dataclasses would cost about a fifth of its start-up.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError, StructureError
+from .errors import PreconditionError, StructureError, Value
 
 RATIONALS = "rationals"
 PRIME_FIELD = "prime-field"
@@ -49,23 +50,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    kind: str
-    modulus: int | None = None
+class FieldSpec(Value):
+    __slots__ = ("kind", "modulus")
 
-    def __post_init__(self):
-        if self.kind == RATIONALS:
-            if self.modulus is not None:
+    def __init__(self, kind: str, modulus: int | None = None):
+        if kind == RATIONALS:
+            if modulus is not None:
                 raise StructureError("rationals take no modulus")
-        elif self.kind == PRIME_FIELD:
-            if self.modulus is not None and self.modulus >= MODULUS_LIMIT:
+        elif kind == PRIME_FIELD:
+            if modulus is not None and modulus >= MODULUS_LIMIT:
                 raise StructureError("prime-field modulus must be below %d" % MODULUS_LIMIT)
-            if self.modulus is None or not _is_prime(self.modulus):
+            if modulus is None or not _is_prime(modulus):
                 raise StructureError(
-                    "prime-field modulus must be prime, got %r" % (self.modulus,))
+                    "prime-field modulus must be prime, got %r" % (modulus,))
         else:
-            raise StructureError("unknown field kind %r" % (self.kind,))
+            raise StructureError("unknown field kind %r" % (kind,))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus)
+
+    def _args(self):
+        return self.kind, self.modulus
+
+    def __repr__(self) -> str:
+        return "FieldSpec(kind=%r, modulus=%r)" % self._args()
 
     def raw(self, num: int, den: int = 1):
         """The raw value num/den."""
@@ -121,12 +128,17 @@ class FieldSpec:
         return self.from_fraction(num, den)
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Value):
     """An immutable field element."""
 
-    field: FieldSpec
-    value: object          # Fraction (rationals) or int residue
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: FieldSpec, value):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "value", value)      # Fraction (rationals) or int residue
+
+    def _args(self):
+        return self.field, self.value
 
     def _new(self, value) -> "Scalar":
         m = self.field.modulus

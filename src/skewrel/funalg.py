@@ -13,7 +13,7 @@ coherent action, so the validator reads the stored maps instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .actions import Carrier, PartialAction, validate_partial_action
 from .errors import PreconditionError
@@ -162,12 +162,9 @@ class LinearMapOnBasis:
                 and self.columns == other.columns)
 
 
-@dataclass(frozen=True)
-class HomClassification:
-    verdict: str                  # "zero" | "evaluation" | "not-multiplicative"
-    point: str | None = None      # evaluation point
-    pair_witness: tuple[str, str] | None = None   # x != y with phi(dx)phi(dy) != 0
-    idem_witness: str | None = None               # x with phi(dx)^2 != phi(dx)
+# verdict: "zero", "evaluation" at point, or "not-multiplicative" with one witness.
+HomClassification = namedtuple("HomClassification", "verdict point pair_witness idem_witness",
+                               defaults=(None, None, None))
 
 
 def classify_linear_functional(field: FieldSpec, carrier, values) -> HomClassification:

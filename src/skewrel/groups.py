@@ -5,48 +5,49 @@ a Cayley table. Table groups are checked eagerly: closure, associativity,
 identity and inverses are verified at construction, so a bad table never
 becomes a latent state.
 
-Specs and elements compute their hashes once, at construction. Copies and
-pickles go through the constructors, since string hashes differ per process.
+Specs and elements are slotted Values written by hand, not dataclasses: each CLI
+command is a fresh interpreter, and importing dataclasses would cost about a fifth of
+its start-up. They hash once, at construction; copies and pickles go through the
+constructors, since string hashes differ per process.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
-from .errors import PreconditionError, StructureError
+from .errors import PreconditionError, StructureError, Value
 
 CYCLIC = "cyclic"
 INTEGERS = "integers"
 TABLE = "table"
 
 # ASCII digits only: int() alone would also take "1_0", "+1", " 1" and non-ASCII digits.
-_INTEGER_LITERAL = re.compile(r"-?[0-9]+")
+INTEGER_LITERAL = re.compile(r"-?[0-9]+")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    kind: str
-    order: int | None = None                       # cyclic only
-    names: tuple[str, ...] | None = None           # table only
-    identity_index: int | None = None              # table only
-    table: tuple[tuple[int, ...], ...] | None = None  # table: table[i][j] = index of names[i]*names[j]
+class GroupSpec(Value):
+    """Z_n, the integers, or a Cayley table: table[i][j] indexes names[i]*names[j]."""
 
-    def __post_init__(self):
-        fields = (self.kind, self.order, self.names, self.identity_index, self.table)
-        object.__setattr__(self, "_fields", fields)
-        object.__setattr__(self, "_hash", hash(fields))
-        object.__setattr__(self, "_identity", GroupElement(self, self.identity_index or 0))
-        if self.kind == TABLE:
-            object.__setattr__(self, "inverses",
-                               tuple(row.index(self.identity_index) for row in self.table))
+    __slots__ = ("kind", "order", "names", "identity_index", "table",
+                 "inverses", "_fields", "_hash", "_identity")
+
+    def __init__(self, kind: str, order: int | None = None, names: tuple | None = None,
+                 identity_index: int | None = None, table: tuple | None = None):
+        fields = (kind, order, names, identity_index, table)
+        inverses = tuple(row.index(identity_index) for row in table) if kind == TABLE else None
+        for name, value in zip(GroupSpec.__slots__, fields + (inverses, fields, hash(fields))):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_identity", GroupElement(self, identity_index or 0))
+
+    def _args(self):
+        return self._fields
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return GroupSpec, self._fields
+    def __repr__(self) -> str:
+        return "GroupSpec(kind=%r, order=%r, names=%r, identity_index=%r, table=%r)" % self._fields
 
     @staticmethod
     def cyclic(n: int) -> "GroupSpec":
@@ -118,7 +119,7 @@ class GroupSpec:
             if text not in self.names:
                 raise StructureError("unknown group element %r" % (text,))
             return GroupElement(self, self.names.index(text))
-        if not _INTEGER_LITERAL.fullmatch(text):
+        if not INTEGER_LITERAL.fullmatch(text):
             raise StructureError("bad group element literal %r" % (text,))
         try:
             payload = int(text)
@@ -128,7 +129,7 @@ class GroupSpec:
         return self.element(payload)
 
 
-class GroupElement:
+class GroupElement(Value):
     """An immutable group element: its group's spec and an int payload."""
 
     __slots__ = ("spec", "payload", "_hash")
@@ -138,13 +139,8 @@ class GroupElement:
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "_hash", hash((spec, payload)))
 
-    def _immutable(self, *args):
-        raise AttributeError("GroupElement is immutable")
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __reduce__(self):
-        return GroupElement, (self.spec, self.payload)
+    def _args(self):
+        return self.spec, self.payload
 
     def __hash__(self) -> int:
         return self._hash

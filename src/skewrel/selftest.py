@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .actions import (Carrier, PartialAction, check_free, equivalence_classes,
@@ -30,12 +29,9 @@ from .relalg import (RelElement, RelIdeal, brute_force_ideal_span, count_ideals,
 from .skew import SkewElement
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: list[str] = dc_field(default_factory=list)
+    def __init__(self, name: str):
+        self.name, self.passed, self.failed, self.failures = name, 0, 0, []
 
     def check(self, ok: bool, detail: str, *args):
         """Count one check; on failure keep ``detail % args``, formatted only then."""

@@ -7,12 +7,14 @@ import time
 
 import pytest
 
-from skewrel import actions
-from skewrel.actions import build_relation, enumerate_invariant_subsets, equivalence_classes
+from skewrel import actions, cli
+from skewrel.actions import (PartialAction, build_relation, enumerate_invariant_subsets,
+                             equivalence_classes)
 from skewrel.cli import build_parser, main
 from skewrel.documents import (action_doc, dump_json, parse_action_document)
 from skewrel.errors import DocumentError, ValidationFailure
 from skewrel.fixtures import GF5, RATIONALS_FIELD, e1_action, e2_action
+from skewrel.groups import GroupSpec
 from skewrel.relalg import RelIdeal
 
 from strategies import draw_any
@@ -39,6 +41,11 @@ E1_GF5_DOC = dict(E1_DOC, field={"kind": "prime-field", "modulus": 5})
 Z2_TABLE = {"kind": "table", "elements": ["e", "g"], "identity": "e",
             "table": [["e", "g"], ["g", "e"]]}
 Z2_DOC = dict(E1_DOC, group=Z2_TABLE, maps=[{"t": "g", "pairs": [["a", "b"], ["b", "a"]]}])
+
+
+# int() alone reads "1_0" as 10, " 3" and "+3" as 3, and U+0663 as 3; --seed and
+# --trials take ASCII digits only, as documents do.
+INT_LOOKALIKES = ["1_0", " 3", "+3", "\u0663", "3.0", "9" * 5000]
 
 
 def write(tmp_path, name, doc):
@@ -127,12 +134,20 @@ class TestCommands:
         (["selftest", "--seed", "1", "--trials", "-3"], "argument --trials: must be at least 0"),
         (["selftest", "--seed", "1", "--trials", "three"], "argument --trials: invalid"),
         (["frobnicate"], "argument command: invalid choice"),
-    ])
+        (["selftest", "--seed", "1", "--trials", "-0"], "argument --trials: must be at least 0"),
+    ] + [(["selftest", "--seed", text, "--trials", "1"], "argument --seed: invalid")
+         for text in INT_LOOKALIKES]
+      + [(["selftest", "--seed", "1", "--trials", text], "argument --trials: invalid")
+         for text in INT_LOOKALIKES])
     def test_usage_error_exit_3(self, capsys, argv, message):
         # 2 is the property-failure code; a usage error is a parse error.
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("usage: skewrel") and "error: " + message in err
+
+    def test_seed_may_be_negative(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--seed", "-3", "--trials", "0")
+        assert code == 0 and json.loads(out)["seed"] == -3
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "selftest", "--help")
@@ -256,6 +271,16 @@ class TestCommands:
         assert len(doc["pairs"]) == 5
         assert doc["classes"] == [["a", "b"], ["c"]]
         assert doc["invariant_subset_count"] == 4
+
+    def test_relation_with_an_unprintable_subset_count_exits_1(self, capsys, monkeypatch):
+        # 2^14300 has 4305 digits, past Python's 4300-digit limit on int -> str. Reading
+        # and validating a 14300-point document takes seconds, so the action is built here.
+        action = PartialAction(GroupSpec.cyclic(1), ["p%d" % i for i in range(14300)], {})
+        monkeypatch.setattr(cli, "load_action", lambda path: (RATIONALS_FIELD, action))
+        code, out, err = run(capsys, "relation", "trivial-14300.json")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("result has an integer of more than")
 
     def test_relation_e2(self, tmp_path, capsys):
         code, out, _ = run(capsys, "relation", write(tmp_path, "e2.json", E2_DOC))
