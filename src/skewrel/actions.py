@@ -8,24 +8,25 @@ and a bijection h_t from X_{t^-1} onto X_t, subject to three axioms:
   (3) h_t(h_s(x)) = h_{ts}(x) for x in X_{s^-1} & X_{s^-1 t^-1}.
 
 Axiom (1) is unforgeable here: h_e is implicit and always the full identity.
-The stored entry for t is h_t, given as pairs (x, h_t(x)); an inverse entry
-h_{t^-1} is synthesized when missing. Unlisted group elements have empty X_t.
+A document gives h_t as pairs (x, h_t(x)); an inverse entry h_{t^-1} is
+synthesized when missing. Unlisted group elements have empty X_t.
 
-An action is read through two tables built once per action, for e and each
-listed t: ``pulls[t]``, h_{t^-1} as a dict on X_t, and ``domains[t]``, X_t in
-carrier order. Their X_t, the domain of h_{t^-1}, is the codomain of h_t only
-in a coherent action, so ``validate_partial_action`` alone reads the stored maps.
+An action keeps two tables, built once for e and each listed t, and is read
+only through them: ``pulls[t]``, h_{t^-1} as a dict on X_t (so h_t is
+``pulls[t^-1]``), and ``domains[t]``, X_t in carrier order. The validator keys
+``pulls`` by inverse, as only a coherent action has X_t = h_t(X_{t^-1}).
 
 From a validated action we build the equivalence relation R of pairs
 (x, h_t(x)), each pair carrying its group witnesses. For free actions the
 witness is unique, which is what the relation-algebra layer relies on. The
-R-classes are computed once per relation and read by every function here;
-checking that R is an equivalence relation takes O(|R|).
+R-classes and ``Relation.column``, the pairs in carrier order, are computed
+once per relation; checking that R is an equivalence relation takes O(|R|).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import PreconditionError, StructureError
 from .groups import GroupElement, GroupSpec
@@ -91,7 +92,6 @@ class PartialAction:
             ti = t.inverse()
             if ti not in normalized:
                 normalized[ti] = {y: x for x, y in normalized[t].items()}
-        self.maps = normalized
         # h_{t^-1}, keyed by t, and X_t: e first, then the listed t in order.
         self.pulls = {e: {x: x for x in self.carrier}}
         for t in sorted(normalized, key=GroupElement.sort_key):
@@ -114,7 +114,7 @@ class PartialAction:
         compare only empty sets, since X_t and X_{ts} cannot both be nonempty
         there, nor X_{s^-1} and X_{(ts)^-1}.
         """
-        base = set(self.maps) | {self.identity}
+        base = self.pulls.keys()
         return sorted({t.inverse() * u for t in base for u in base},
                       key=GroupElement.sort_key)
 
@@ -122,10 +122,10 @@ class PartialAction:
         return (isinstance(other, PartialAction)
                 and self.group == other.group
                 and self.carrier == other.carrier
-                and self.maps == other.maps)
+                and self.pulls == other.pulls)
 
     def __repr__(self):
-        return "PartialAction(%s points, %d maps)" % (len(self.carrier), len(self.maps))
+        return "PartialAction(%s points, %d maps)" % (len(self.carrier), len(self.pulls) - 1)
 
 
 class Violation(namedtuple("Violation", "axiom t s witness")):
@@ -152,7 +152,7 @@ class ValidationReport:
 
 def validate_partial_action(pa: PartialAction) -> ValidationReport:
     """Check axioms (2) and (3) over the relevant elements; (1) is structural."""
-    maps = {pa.identity: {x: x for x in pa.carrier}, **pa.maps}     # h_e and the stored h_t
+    maps = {t.inverse(): h for t, h in pa.pulls.items()}     # h_u, for e and the listed u
 
     def subset(u):          # X_u, the codomain of h_u, as a set of labels
         return set(maps.get(u, {}).values())
@@ -217,9 +217,9 @@ FreenessReport = namedtuple("FreenessReport", "free counterexample", defaults=(N
 
 def check_free(pa: PartialAction) -> FreenessReport:
     """Free means h_t(x) = x forces t = e."""
-    for t in pa.listed():
-        for x in pa.domains[t.inverse()]:
-            if pa.maps[t][x] == x:
+    for t in pa.listed():                      # h_{t^-1} fixes x exactly when h_t does
+        for x in pa.domains[t]:
+            if pa.pulls[t][x] == x:
                 return FreenessReport(False, (t, x))
     return FreenessReport(True)
 
@@ -227,16 +227,14 @@ def check_free(pa: PartialAction) -> FreenessReport:
 class Relation:
     """The equivalence relation R = {(x, h_t(x))} with per-pair witnesses."""
 
-    def __init__(self, carrier, pairs, action: PartialAction | None = None):
+    def __init__(self, carrier, pairs):
         """pairs: {(x, y): iterable of GroupElement witnesses}."""
         self.carrier = Carrier(carrier)
-        self.action = action
         self.pairs = {
             key: tuple(sorted(set(wits), key=GroupElement.sort_key))
             for key, wits in pairs.items()
         }
         self._free = all(len(w) == 1 for w in self.pairs.values())
-        self._sorted_pairs = None
         # Union-find over the pairs: the classes, ordered by least member with
         # members in carrier order, and each point's class index. They are the
         # components of the pairs, so the R-classes when R is an equivalence.
@@ -260,13 +258,15 @@ class Relation:
     def __contains__(self, pair):
         return pair in self.pairs
 
+    @cached_property
+    def column(self) -> dict:
+        """pair -> its index in carrier order of (x, y), R's one pair order: sorted once."""
+        at = self.carrier.position
+        pairs = sorted(self.pairs, key=lambda p: (at[p[0]], at[p[1]]))
+        return {pair: i for i, pair in enumerate(pairs)}
+
     def sorted_pairs(self) -> tuple:
-        """The pairs in carrier order of (x, y), sorted on the first call without the classes."""
-        if self._sorted_pairs is None:
-            position = self.carrier.position
-            self._sorted_pairs = tuple(sorted(self.pairs,
-                                              key=lambda p: (position[p[0]], position[p[1]])))
-        return self._sorted_pairs
+        return tuple(self.column)          # the pairs in carrier order of (x, y)
 
     def witnesses(self, x: str, y: str):
         return self.pairs.get((x, y), ())
@@ -284,28 +284,27 @@ class Relation:
 
 
 def build_relation(pa: PartialAction) -> Relation:
-    """All pairs (x, h_t(x)) over listed t, plus the diagonal with witness e."""
+    """All pairs (x, h_t(x)) over e and the listed t: (x, h_{t^-1}(x)) has witness t^-1."""
     pairs: dict[tuple[str, str], list[GroupElement]] = {}
-    for x in pa.carrier:
-        pairs[(x, x)] = [pa.identity]
-    for t, h in pa.maps.items():
+    for t, h in pa.pulls.items():
+        ti = t.inverse()
         for x, y in h.items():
-            pairs.setdefault((x, y), []).append(t)
-    return Relation(pa.carrier, pairs, action=pa)
+            pairs.setdefault((x, y), []).append(ti)
+    return Relation(pa.carrier, pairs)
 
 
 def verify_equivalence(rel: Relation) -> bool:
     """Reflexive, symmetric and transitive on the (x, y) projection, in O(|R|).
 
     Every pair lies inside one of ``rel.classes``, so R is the union of the
-    C x C exactly when |R| = sum |C|^2. For a free action it also checks each
+    C x C exactly when |R| = sum |C|^2. For a free R it also checks each
     witness against the least point r of its class, w(x, y) = w(r, y) w(r, x)^-1:
     the same as w(x, z) = w(y, z) w(x, y) over all composable pairs, the argument
     that transitivity follows from axiom (3) (put x = r there to get it back).
     """
     if len(rel.pairs) != sum(len(block) ** 2 for block in rel.classes):
         return False
-    if rel.action is None or not rel.is_free():
+    if not rel.is_free():
         return True
     from_root = {x: rel.pairs[block[0], x][0] for block in rel.classes for x in block}
     to_root = {x: t.inverse() for x, t in from_root.items()}

@@ -139,7 +139,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    custom = None if args.action is None else load_action(args.action)
+    custom = load_action(args.action) if args.action is not None else None
     report = run_selftest(args.seed, args.trials, custom=custom,
                           corrupt_skew_mul=args.corrupt_skew_mul)
     _emit(report)

@@ -174,10 +174,9 @@ def action_doc(field: FieldSpec, action: PartialAction) -> dict:
         "field": field_doc(field),
         "group": group_doc(action.group),
         "set": list(action.carrier),
-        "maps": [
-            {"t": str(t),
-             "pairs": [[x, action.maps[t][x]] for x in action.domains[t.inverse()]]}
-            for t in action.listed()
+        "maps": [           # h_t is pulls[t^-1], on X_{t^-1}
+            {"t": str(t), "pairs": [[x, action.pulls[ti][x]] for x in action.domains[ti]]}
+            for t in action.listed() for ti in [t.inverse()]
         ],
     }
 

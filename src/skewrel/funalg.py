@@ -7,8 +7,8 @@ subsets A, and partial actions on the carrier induce partial actions on the
 algebra via alpha_t(f) = f o h_{t^-1} (and conversely).
 
 The induced action keeps no copy of the action's tables ``pulls`` (h_{t^-1} on
-X_t) and ``domains`` (X_t), and alpha_t is psi of h_{t^-1}. The tables assume a
-coherent action, so the validator reads the stored maps instead.
+X_t, keyed by t) and ``domains`` (X_t): alpha_t is psi of ``pulls[t]``. Only
+the validator keys ``pulls`` by inverse, to find incoherent actions.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ def accumulate(out: dict, key, value):
 class SparseSum:
     """A finite formal sum {basis key: nonzero coefficient} over a context.
 
-    The context is the tuple of objects that fix the basis and the
-    coefficients (a field and a carrier, a field and a relation, an algebra
-    action). Coefficients are raw field values (see ``fields``), reduced and
-    nonzero, or nonzero F0(X) elements in the skew ring. ``__init__`` is the
+    The context is the pair (field, base) that fixes the coefficients and the
+    basis: the base is a carrier, a relation or an algebra action.
+    Coefficients are raw field values (see ``fields``), reduced and nonzero,
+    or nonzero F0(X) elements in the skew ring. ``__init__`` is the
     one checked constructor of the field-valued sums: the subclass hook
     ``_checked(base, keys)`` checks the keys and returns the base, then the
     constructor unwraps Scalars and reduces. Anything built from checked parts
@@ -44,7 +44,7 @@ class SparseSum:
     context: tuple
     mismatch: str          # the PreconditionError message for mixed contexts
 
-    field = property(lambda self: self.context[0])     # of a field-valued sum
+    field = property(lambda self: self.context[0])
 
     def __init__(self, field: FieldSpec, base, coeffs=None):
         coeffs = coeffs or {}
@@ -140,6 +140,10 @@ class LinearMapOnBasis:
         self.field = field
         self.source = Carrier(source)
         self.target = Carrier(target)
+        missing = [x for x in self.source if x not in columns]
+        if missing or len(columns) != len(self.source):
+            raise PreconditionError("no column for %s" % missing[0] if missing
+                                    else "a column lies off the source")
         self.columns: dict[str, FunAlgElement] = {x: columns[x] for x in self.source}
         for x, col in self.columns.items():
             if col.context != (field, self.target):
@@ -177,6 +181,8 @@ def classify_linear_functional(field: FieldSpec, carrier, values) -> HomClassifi
     """
     carrier = Carrier(carrier)
     carrier.require(values)
+    if any(v.field != field for v in values.values()):
+        raise PreconditionError("scalars from different fields")
     support = carrier.sort(x for x, v in values.items() if not v.is_zero())[:2]
     if not support:
         return HomClassification("zero")
@@ -234,6 +240,7 @@ def subset_of_ideal(generators) -> list[str]:
     carrier = generators[0].carrier
     hit = set()
     for g in generators:
+        g._check(generators[0])
         hit.update(g.coeffs)
     return [x for x in carrier if x in hit]
 
@@ -254,15 +261,11 @@ class InducedAlgebraAction:
         self.action = action
         self.carrier = action.carrier
 
-    def pull_map(self, t: GroupElement) -> dict:
-        """h_{t^-1} as a read-only dict on X_t, keyed by t: no inverse to form."""
-        return self.action.pulls.get(t, {})
-
     def apply(self, t: GroupElement, f: FunAlgElement) -> FunAlgElement:
         """alpha_t(f) = f o h_{t^-1}; requires support(f) within X_{t^-1}."""
         if f.context != (self.field, self.carrier):
             raise PreconditionError("element lives over the wrong carrier or field")
-        h_t = self.pull_map(t.inverse())
+        h_t = self.action.pulls.get(t.inverse(), {})
         outside = [x for x in f.coeffs if x not in h_t]
         if outside:
             raise PreconditionError(
@@ -272,7 +275,7 @@ class InducedAlgebraAction:
     def as_linear_map(self, t: GroupElement) -> LinearMapOnBasis:
         """alpha_t as a basis map F0(X_{t^-1}) -> F0(X_t) over subcarriers: psi of h_{t^-1}."""
         domains = self.action.domains
-        return psi_from_bijection(self.field, self.pull_map(t),
+        return psi_from_bijection(self.field, self.action.pulls.get(t, {}),
                                   domains.get(t.inverse(), ()), domains.get(t, ()))
 
     def __eq__(self, other):

@@ -11,7 +11,7 @@ Q a rank |T| modulo 2^31 - 1 certifies the answer (von zur Gathen-Gerhard,
 Modern Computer Algebra, ch. 5). It indexes each operand once: an element
 keeps the first-coordinate index that convolution reads when it is a right
 factor, the oracle indexes R's pairs by each coordinate once per call, and
-its row space indexes its rows by column.
+its row space indexes its rows by ``Relation.column``, R's one pair order.
 
 F0(R) is built only over a free action: with multiple witnesses convolution
 would double-count, a case the construction does not define. The checked
@@ -61,8 +61,7 @@ class RelElement(SparseSum):
         return RelElement(field, relation, {(x, y): field.one()})
 
     def support(self):
-        position = self.relation.carrier.position
-        return sorted(self.coeffs, key=lambda p: (position[p[0]], position[p[1]]))
+        return sorted(self.coeffs, key=self.relation.column.__getitem__)
 
     @cached_property
     def by_first(self) -> dict:
@@ -95,22 +94,28 @@ def gamma(rel: Relation, u: SkewElement) -> RelElement:
     a re-indexing, as a free action sends distinct (t, x) to distinct pairs."""
     out: dict = {}
     for t, a in u.sorted_terms():              # an error names the first pair outside R
-        h = u.action.pull_map(t)               # h_{t^-1}, defined on X_t
+        h = u.action.action.pulls[t]           # h_{t^-1}, defined on X_t
         out.update(((x, h[x]), c) for x, c in a.coeffs.items())
     return RelElement._raw((u.action.field, _require_pairs(rel, out)), out)
 
 
 def gamma_inv(alpha: InducedAlgebraAction, f: RelElement) -> SkewElement:
     """Inverse of gamma: coefficient at (x, y) with witness s feeds the term
-    at t = s^-1 with f_t(x) = f(x, h_{t^-1}(x))."""
-    rel = f.relation
-    coeffs: dict = {}          # s -> {x: f_{s^-1}(x)}; x and s fix y, so no x repeats
+    at t = s^-1 with f_t(x) = f(x, h_{t^-1}(x)). Each (x, y) must be
+    (x, h_s(x)) in alpha's action, which is gamma(gamma_inv(f)) = f."""
+    if f.field != alpha.field:
+        raise PreconditionError("scalars from different fields")
+    rel, pulls = f.relation, alpha.action.pulls
+    terms: dict = {}           # s -> (h_s, {x: f_{s^-1}(x)}); h_s is pulls[s^-1], on X_{s^-1}
     for (x, y), c in f.coeffs.items():
-        coeffs.setdefault(rel.pairs[x, y][0], {})[x] = c    # the one witness, as R is free
-    # The public SkewElement constructor checks each term's support in X_t.
+        s = rel.pairs[x, y][0]                     # the one witness, as R is free
+        h, a = terms.get(s) or terms.setdefault(s, (pulls.get(s.inverse(), {}), {}))
+        if h.get(x) != y:
+            raise PreconditionError("(%s, %s) is not (x, h_%s(x)) in the action" % (x, y, s))
+        a[x] = c               # x is in X_{s^-1}, and h_s(x) = y, so no x repeats
     context = (alpha.field, alpha.carrier)
-    return SkewElement(alpha, {s.inverse(): FunAlgElement._raw(context, a)
-                               for s, a in coeffs.items()})
+    return SkewElement._raw((alpha.field, alpha), {s.inverse(): FunAlgElement._raw(context, a)
+                                                   for s, (_h, a) in terms.items()})
 
 
 class RelIdeal:
@@ -122,7 +127,7 @@ class RelIdeal:
         self.invariant = invariant_closure(relation, members)    # refuses unknown labels
         if len(self.invariant) != len(members):
             raise PreconditionError("subset is not R-invariant")
-        # Z is a union of classes, so this is sorted_pairs() restricted to Z x Z.
+        # Z is a union of classes, so this is R's pair order restricted to Z x Z.
         classes, class_of = relation.classes, relation.class_of
         self.basis = [(x, y) for x in self.invariant for y in classes[class_of[x]]]
 
@@ -243,8 +248,8 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
     generators = list(generators)          # read twice: for T and for the products
     if any(g.context != (field, rel) for g in generators):
         raise PreconditionError(RelElement.mismatch)
-    pairs = rel.sorted_pairs()
-    column = {pair: i for i, pair in enumerate(pairs)}
+    column = rel.column
+    pairs = tuple(column)
     at: tuple[dict, dict] = ({}, {})     # at[i][y]: the k with pairs[k][i] = y, ascending
     for k, pair in enumerate(pairs):
         for i in (0, 1):
@@ -293,5 +298,5 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
 
 def span_of_ideal(field: FieldSpec, ideal: RelIdeal) -> ExactRowSpace:
     """Coefficient space of F0((Z x Z) & R), for comparison with the oracle."""
-    column = {pair: i for i, pair in enumerate(ideal.relation.sorted_pairs())}
+    column = ideal.relation.column
     return ExactRowSpace.units(field, len(column), [column[p] for p in ideal.basis])

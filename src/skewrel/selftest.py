@@ -100,7 +100,7 @@ def random_funalg(rng, field, carrier, allowed=None) -> FunAlgElement:
 def random_skew(rng, alpha: InducedAlgebraAction) -> SkewElement:
     domains = alpha.action.domains
     ts = list(domains)
-    return SkewElement._raw((alpha,), {
+    return SkewElement._raw((alpha.field, alpha), {
         t: random_funalg(rng, alpha.field, alpha.carrier, domains[t])
         for t in _sample(rng, ts, _below(rng.getrandbits, len(ts) + 1))})
 
@@ -273,9 +273,9 @@ def suite_relation(bundles) -> SuiteResult:
     suite = SuiteResult("relation-structure")
     for name, _fld, action, rel, _alpha in bundles:
         suite.check(verify_equivalence(rel), "%s: built relation is not an equivalence", name)
-        for t in action.listed():
-            inv = {y: x for x, y in action.maps[t].items()}
-            suite.check(action.maps[t.inverse()] == inv,
+        for t in action.listed():       # pulls[t^-1] is h_t, pulls[t] is h_{t^-1}
+            inv = {y: x for x, y in action.pulls[t.inverse()].items()}
+            suite.check(action.pulls[t] == inv,
                         "%s: h_{%s^-1} is not the inverse of h_%s", name, t, t)
     return suite
 

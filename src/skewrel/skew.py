@@ -27,20 +27,19 @@ class SkewElement(SparseSum):
 
     mismatch = "elements over different actions"
 
-    action = property(lambda self: self.context[0])
-    field = property(lambda self: self.action.field)
+    action = property(lambda self: self.context[1])
 
     def __init__(self, action: InducedAlgebraAction, terms=None):
         context = (action.field, action.carrier)
         for t, a in (terms or {}).items():
             if a.context != context:
                 raise PreconditionError("coefficient over the wrong carrier or field")
-            x_t = action.pull_map(t).keys()
+            x_t = action.action.pulls.get(t, {}).keys()
             if not a.coeffs.keys() <= x_t:
                 outside = action.carrier.sort(a.coeffs.keys() - x_t)
                 raise PreconditionError("a_%s has support outside X_%s at %s"
                                         % (t, t, ",".join(outside)))
-        self.context = (action,)
+        self.context = (action.field, action)
         self.coeffs = self._reduce(terms or {})
 
     def _reduce(self, terms: dict) -> dict:
@@ -74,7 +73,7 @@ class SkewElement(SparseSum):
         right = [(s, b.coeffs) for s, b in other.coeffs.items()]
         out: dict = {}                                 # ts -> {x: raw value}
         for t, a in self.coeffs.items():
-            h = alpha.pull_map(t)                      # h_{t^-1}, defined on X_t
+            h = alpha.action.pulls[t]                  # h_{t^-1}, defined on X_t
             for s, b in right:
                 if values := [(x, c * b[h[x]]) for x, c in a.coeffs.items() if h[x] in b]:
                     term = out.setdefault(t * s, {})

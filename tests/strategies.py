@@ -141,7 +141,7 @@ def mutate(rng, action: PartialAction) -> PartialAction | None:
     """The action with one pair of one stored h_t dropped or its image redirected
     to a point outside h_t's image; h_{t^-1} keeps its mirror pair or loses it.
     The result is usually, not always, invalid. None when no h_t is stored."""
-    maps = {t: dict(h) for t, h in action.maps.items()}
+    maps = {t.inverse(): dict(h) for t, h in action.pulls.items() if t != action.identity}
     if not maps:
         return None
     t = rng.choice(sorted(maps, key=GroupElement.sort_key))
@@ -167,6 +167,6 @@ def reference_elements(action: PartialAction) -> list:
     if group.kind != "integers":
         elements = group.elements()
     else:
-        m = max((abs(t.payload) for t in action.maps), default=0)
+        m = max((abs(t.payload) for t in action.pulls), default=0)
         elements = [group.element(k) for k in range(-2 * m, 2 * m + 1)]
     return sorted(elements, key=GroupElement.sort_key)

@@ -20,8 +20,8 @@ from test_skew import cyclic_action
 
 
 class StoredMaps:
-    """X_t and h_t read straight off ``pa.maps`` and ``pa.carrier``: the reference
-    for the validator and for the ``pulls``/``domains`` tables, which it never reads."""
+    """X_t and h_t read straight off ``pa.pulls[t^-1]`` and ``pa.carrier``: the reference
+    for the validator and for the ``pulls``/``domains`` tables."""
 
     def __init__(self, pa):
         self.pa = pa
@@ -29,12 +29,12 @@ class StoredMaps:
     def subset(self, t):
         """X_t, the codomain of h_t, as a set of labels."""
         pa = self.pa
-        return set(pa.carrier) if t == pa.identity else set(pa.maps.get(t, {}).values())
+        return set(pa.carrier) if t == pa.identity else set(pa.pulls.get(t.inverse(), {}).values())
 
     def apply(self, t, x):
         """h_t(x), for x in the domain of h_t."""
         pa = self.pa
-        return x if t == pa.identity else pa.maps[t][x]
+        return x if t == pa.identity else pa.pulls[t.inverse()][x]
 
 
 def e2_without_h2():
@@ -206,7 +206,7 @@ class TestInvariantSubsets:
 def test_inverse_maps_are_pair_inverses():
     for pa in (e1_action(), e2_action()):
         for t in pa.listed():
-            assert pa.maps[t.inverse()] == {y: x for x, y in pa.maps[t].items()}
+            assert pa.pulls[t] == {y: x for x, y in pa.pulls[t.inverse()].items()}
 
 
 class TestCarrier:
@@ -235,7 +235,7 @@ class TestCarrier:
 
 def reference_report(pa, elems):
     """Reference: the domain check, then axioms (2) and (3) over every (t, s) of
-    elems with no pair skipped, read straight off ``pa.maps``; the violation
+    elems with no pair skipped, read straight off ``pa.pulls[t^-1]``; the violation
     texts as the validator renders them."""
     carrier, ref = list(pa.carrier), StoredMaps(pa)
     X, h = ref.subset, ref.apply
@@ -244,8 +244,8 @@ def reference_report(pa, elems):
         return ",".join(sorted(xs, key=carrier.index))
 
     found = []
-    for t in sorted(pa.maps, key=GroupElement.sort_key):
-        dom, expected = set(pa.maps[t]), X(t.inverse())
+    for t in sorted(pa.pulls.keys() - {pa.identity}, key=GroupElement.sort_key):
+        dom, expected = set(pa.pulls[t.inverse()]), X(t.inverse())
         if dom != expected:
             found.append(Violation(
                 "domain", t, None, "domain of h_%s is %s but X_%s is %s (differ at {%s})"
@@ -352,7 +352,7 @@ class TestCheckElements:
         failing = 0
         for _ in range(600):
             pa = random_partial_action(rng, z)
-            m = max((abs(t.payload) for t in pa.maps), default=0)
+            m = max((abs(t.payload) for t in pa.pulls), default=0)
             window = sorted(map(z.element, range(-2 * m, 2 * m + 1)), key=GroupElement.sort_key)
             got = validate_partial_action(pa).render()
             assert got == reference_report(pa, window)
@@ -385,7 +385,8 @@ class TestTables:
         valid = 0
         for trial in range(1500):
             pa = random_partial_action(rng, groups[trial % len(groups)])
-            assert pa.listed() == sorted(pa.maps, key=GroupElement.sort_key)
+            assert pa.listed() == sorted(pa.pulls.keys() - {pa.identity},
+                                         key=GroupElement.sort_key)
             assert list(pa.domains) == list(pa.pulls) == [pa.identity] + pa.listed()
             if not validate_partial_action(pa).ok:
                 continue
@@ -412,7 +413,7 @@ class TestTables:
 
 def triple_scan_equivalence(rel):
     """Reference: reflexivity and symmetry pair by pair, then transitivity and,
-    for a free relation with an action, w(x, z) = w(y, z) w(x, y) over every
+    for a free relation, w(x, z) = w(y, z) w(x, y) over every
     composable (x, y), (y, z): O(|R|^2)."""
     for x in rel.carrier:
         if (x, x) not in rel.pairs:
@@ -420,7 +421,7 @@ def triple_scan_equivalence(rel):
     for (x, y) in rel.pairs:
         if (y, x) not in rel.pairs:
             return False
-    check_witnesses = rel.action is not None and rel.is_free()
+    check_witnesses = rel.is_free()
     for (x, y) in rel.pairs:
         for (y2, z) in rel.pairs:
             if y2 != y:
@@ -484,7 +485,7 @@ def broken_relations(rng, rel):
     if len(pairs) > 1:
         p, q = rng.sample(sorted(pairs), 2)
         out.append(pairs | {p: pairs[q], q: pairs[p]})
-    return [Relation(rel.carrier, broken, action=rel.action) for broken in out]
+    return [Relation(rel.carrier, broken) for broken in out]
 
 
 class TestClassIndex:
@@ -505,6 +506,18 @@ class TestClassIndex:
                 assert got == triple_scan_equivalence(broken)
                 seen[got, broken.is_free()] += 1
         assert min(seen.values()) > 50      # every verdict, free and not, was compared
+
+    def test_a_bare_free_relation_with_two_witnesses_swapped_is_refused(self):
+        # Built from its pairs alone, with no action: the witness check still runs.
+        rel = build_relation(cyclic_action(3, 1))
+        pairs = dict(rel.pairs)
+        p, q = ("0.0", "0.1"), ("0.0", "0.2")           # witnesses 1 and 2
+        swapped = Relation(rel.carrier, pairs | {p: pairs[q], q: pairs[p]})
+        assert pairs[p] != pairs[q] and swapped.is_free()
+        assert verify_equivalence(Relation(rel.carrier, pairs))
+        assert not verify_equivalence(swapped)
+        with pytest.raises(PreconditionError, match="^relation is not an equivalence relation$"):
+            equivalence_classes(swapped)
 
     def test_readers_refuse_a_relation_that_is_not_an_equivalence(self):
         rng = random.Random(10)

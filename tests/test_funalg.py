@@ -74,6 +74,12 @@ class TestClassification:
         with pytest.raises(PreconditionError, match="^z is not a carrier point$"):
             classify_linear_functional(Q, ("a", "b"), {"z": Q.one()})
 
+    def test_values_over_another_field_rejected(self):
+        # GF(5) values are not a functional over Q, even where they read as eps_a.
+        values = {"a": F5.one(), "b": F5.zero(), "c": F5.zero()}
+        with pytest.raises(PreconditionError, match="^scalars from different fields$"):
+            classify_linear_functional(Q, XYZ, values)
+
     def test_random_functionals_never_evaluations(self):
         rng = random.Random(7)
         evaluations = 0
@@ -122,6 +128,17 @@ class TestPsi:
     def test_not_bijective_rejected(self):
         with pytest.raises(PreconditionError):
             psi_from_bijection(Q, {"a": "b", "b": "b", "c": "c"}, XYZ, XYZ)
+
+
+class TestLinearMapOnBasis:
+    def test_missing_column_rejected(self):
+        with pytest.raises(PreconditionError, match="^no column for b$"):
+            LinearMapOnBasis(Q, XYZ, XYZ, {"a": delta("a"), "c": delta("c")})
+
+    def test_column_off_the_source_rejected(self):
+        columns = {x: delta(x) for x in XYZ}
+        with pytest.raises(PreconditionError, match="^a column lies off the source$"):
+            LinearMapOnBasis(Q, ("a", "b"), XYZ, columns)
 
 
 class TestBijectionRecovery:
@@ -175,6 +192,13 @@ class TestIdealSubset:
         assert subset_of_ideal([f]) == ["a", "b"]
         for x in subset_of_ideal([f]):
             assert not (delta(x) * f).is_zero()
+
+    def test_generators_over_different_contexts_rejected(self):
+        q_b = delta("b", carrier=("a", "b"))
+        f5_x = delta("x", field=F5, carrier=("x", "b"))
+        with pytest.raises(PreconditionError,
+                           match="^elements live over different carriers or fields$"):
+            subset_of_ideal([q_b, f5_x])
 
     def test_zero_ideal(self):
         assert subset_of_ideal([]) == []
@@ -291,7 +315,7 @@ class TestActionTables:
         for pa in (e1_action(), e2_action(), cyclic_action(8, 4)):
             alpha = InducedAlgebraAction(Q, pa)
             for t in pa.pulls:
-                assert alpha.pull_map(t) is alpha.action.pulls[t]
+                assert alpha.action.pulls[t] is pa.pulls[t]
 
 
 class TestRecovery:

@@ -38,11 +38,14 @@ def e2():
     return fixture_bundle(Q, e2_action())
 
 
-def non_free_relation():
+def non_free_action():
     z2 = GroupSpec.cyclic(2)
-    pa = PartialAction(z2, ["a", "b", "c"],
-                       {z2.element(1): {"a": "b", "b": "a", "c": "c"}})
-    return build_relation(pa)
+    return PartialAction(z2, ["a", "b", "c"],
+                         {z2.element(1): {"a": "b", "b": "a", "c": "c"}})
+
+
+def non_free_relation():
+    return build_relation(non_free_action())
 
 
 def three_class_action():
@@ -297,9 +300,27 @@ class TestGamma:
         with pytest.raises(PreconditionError, match=r"^pair \(2, 1\) is not in R$"):
             gamma(diagonal, u)
 
+    def test_gamma_inv_refuses_an_element_over_another_field(self, e1):
+        action, rel, _alpha = e1
+        f = RelElement.delta(Q, rel, "a", "b").scale(Q.parse("1/3"))
+        with pytest.raises(PreconditionError, match="^scalars from different fields$"):
+            gamma_inv(InducedAlgebraAction(F5, action), f)
+
+    def test_gamma_inv_refuses_a_relation_of_another_action(self):
+        # Z_3 rotates {a, b, c} one way in A and the other way in B: (a, b) has
+        # witness 2 in R_B, and h_2(a) = c in A, so no u over A has Gamma(u) = f.
+        z3, carrier = GroupSpec.cyclic(3), ["a", "b", "c"]
+        rotate_a = PartialAction(z3, carrier, {z3.element(1): {"a": "b", "b": "c", "c": "a"}})
+        rotate_b = PartialAction(z3, carrier, {z3.element(1): {"a": "c", "b": "a", "c": "b"}})
+        f = RelElement.delta(Q, build_relation(rotate_b), "a", "b")
+        with pytest.raises(PreconditionError,
+                           match=r"^\(a, b\) is not \(x, h_2\(x\)\) in the action$"):
+            gamma_inv(InducedAlgebraAction(Q, rotate_a), f)
+
     def test_non_free_rejected(self):
-        rel = non_free_relation()
-        alpha = InducedAlgebraAction(Q, rel.action, validate=False)
+        pa = non_free_action()
+        rel = build_relation(pa)
+        alpha = InducedAlgebraAction(Q, pa, validate=False)
         u = SkewElement.zero(alpha)
         with pytest.raises(NotFreeError):
             gamma(rel, u)
@@ -673,11 +694,11 @@ def reference_gamma(rel, u):
     relalg._require_free(rel)
     out: dict = {}
     for t, a in u.coeffs.items():
-        h = u.action.pull_map(t)
+        h = u.action.action.pulls.get(t, {})
         for x, c in a.coeffs.items():
             accumulate(out, (x, h[x]), c)
     if not out.keys() <= rel.pairs.keys():
-        relalg._require_pairs(rel, {(x, u.action.pull_map(t)[x]): c
+        relalg._require_pairs(rel, {(x, u.action.action.pulls.get(t, {})[x]): c
                                     for t, a in u.sorted_terms() for x, c in a.coeffs.items()})
     return RelElement._raw((u.action.field, rel), out)
 
@@ -730,7 +751,8 @@ class TestGammaMatchesTheReference:
         for name, action in reference_cases():
             _action, rel, alpha = fixture_bundle(Q, action)
             for _ in range(30):
-                kept = {t: h for t, h in action.maps.items() if rng.random() < 0.5}
+                kept = {t.inverse(): h for t, h in action.pulls.items()
+                        if t != action.identity and rng.random() < 0.5}
                 other = build_relation(PartialAction(action.group, action.carrier, kept))
                 u = random_skew(rng, alpha)
                 got = outcome(gamma, other, u)

@@ -125,7 +125,8 @@ class TestValidation:
         alpha = e1_alpha()
         g = alpha.action.group.element(1)
         # Only _raw, which kernel results go through, can build it.
-        bad = SkewElement._raw((alpha,), {g: FunAlgElement.delta(Q, alpha.carrier, "c")})
+        bad = SkewElement._raw((alpha.field, alpha),
+                               {g: FunAlgElement.delta(Q, alpha.carrier, "c")})
         with pytest.raises(PreconditionError):
             SkewElement(alpha, bad.coeffs)
         with pytest.raises(PreconditionError):
@@ -297,8 +298,8 @@ class SkewIdealOracle:
             t, x = cells[col]
             terms.setdefault(t, {})[x] = c
         context = (self.alpha.field, self.alpha.carrier)
-        return SkewElement._raw((self.alpha,), {t: FunAlgElement._raw(context, a)
-                                                for t, a in terms.items()})
+        return SkewElement._raw((self.alpha.field, self.alpha),
+                                {t: FunAlgElement._raw(context, a) for t, a in terms.items()})
 
     def ideal(self, u) -> ExactRowSpace:
         pulls = self.alpha.action.pulls
@@ -324,7 +325,7 @@ class SkewIdealOracle:
     def predicted(self, u) -> ExactRowSpace:
         """The span of the 1_x delta_t with x in the invariant closure of u's points:
         the points u's points reach under the stored maps h_t."""
-        maps = self.alpha.action.maps
+        maps = {t.inverse(): h for t, h in self.alpha.action.pulls.items()}     # h_t, e included
         reached = {x for a in u.terms.values() for x in a.coeffs}
         frontier = list(reached)
         while frontier:
@@ -351,8 +352,8 @@ def sparse_skew(rng, alpha, terms):
     for t, x in rng.sample(cells, rng.randint(1, terms)):
         coeffs.setdefault(t, {})[x] = random_value(rng, alpha.field)
     context = (alpha.field, alpha.carrier)
-    return SkewElement._raw((alpha,), {t: FunAlgElement._raw(context, a)
-                                       for t, a in coeffs.items()})
+    return SkewElement._raw((alpha.field, alpha), {t: FunAlgElement._raw(context, a)
+                                                   for t, a in coeffs.items()})
 
 
 def ideal_theorem_failures(mul) -> list:
@@ -394,7 +395,7 @@ def skew_mul_without_pull(u, v):
         for s, b in v.terms.items():
             if (ab := a * b).coeffs:
                 accumulate(out, t * s, ab)
-    return SkewElement._raw((u.action,), out)
+    return SkewElement._raw((u.action.field, u.action), out)
 
 
 class TestIdealTheorem:
