@@ -8,7 +8,11 @@ becomes a latent state.
 Specs and elements are slotted Values written by hand, not dataclasses: each CLI
 command is a fresh interpreter, and importing dataclasses would cost about a fifth of
 its start-up. They hash once, at construction; copies and pickles go through the
-constructors, since string hashes differ per process.
+constructors, since string hashes differ per process. Elements are interned:
+``GroupElement(spec, p)`` returns the spec's one element with payload p, made on first
+use with its hash, sort key and inverse (linked both ways), so no layer allocates to
+key, sort or invert; a spec keeps every element it made. Elements of equal but
+distinct specs still compare and hash equal.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ class GroupSpec(Value):
     """Z_n, the integers, or a Cayley table: table[i][j] indexes names[i]*names[j]."""
 
     __slots__ = ("kind", "order", "names", "identity_index", "table",
-                 "inverses", "_fields", "_hash", "_identity")
+                 "inverses", "_fields", "_hash", "_interned", "_identity")
 
     def __init__(self, kind: str, order: int | None = None, names: tuple | None = None,
                  identity_index: int | None = None, table: tuple | None = None):
         fields = (kind, order, names, identity_index, table)
         inverses = tuple(row.index(identity_index) for row in table) if kind == TABLE else None
-        for name, value in zip(GroupSpec.__slots__, fields + (inverses, fields, hash(fields))):
+        for name, value in zip(GroupSpec.__slots__, fields + (inverses, fields, hash(fields), {})):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_identity", GroupElement(self, identity_index or 0))
 
@@ -68,11 +72,18 @@ class GroupSpec(Value):
             raise StructureError("identity %r not among element names" % (identity,))
         n = len(names)
         pos = {name: i for i, name in enumerate(names)}
+
+        def entry(v):           # an element name, or an index as an int (not a bool)
+            if isinstance(v, str) and v in pos:
+                return pos[v]
+            if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n:
+                return v
+            raise StructureError("Cayley table entry %r is not an element name or index" % (v,))
         rows = []
         for row in table:
-            row = tuple(pos[name] if isinstance(name, str) else int(name) for name in row)
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise StructureError("Cayley table row has wrong shape or entries")
+            row = tuple(map(entry, row))
+            if len(row) != n:
+                raise StructureError("Cayley table row has wrong shape")
             rows.append(row)
         if len(rows) != n:
             raise StructureError("Cayley table must be %d x %d" % (n, n))
@@ -108,11 +119,9 @@ class GroupSpec(Value):
 
     def elements(self):
         """All elements; finite groups only."""
-        if self.kind == CYCLIC:
-            return [GroupElement(self, i) for i in range(self.order)]
-        if self.kind == TABLE:
-            return [GroupElement(self, i) for i in range(len(self.names))]
-        raise PreconditionError("the integers group is infinite")
+        if self.kind == INTEGERS:
+            raise PreconditionError("the integers group is infinite")
+        return [GroupElement(self, i) for i in range(self.order or len(self.names))]
 
     def parse(self, text: str) -> "GroupElement":
         if self.kind == TABLE:
@@ -130,14 +139,23 @@ class GroupSpec(Value):
 
 
 class GroupElement(Value):
-    """An immutable group element: its group's spec and an int payload."""
+    """An immutable group element: its group's spec and an int payload, interned."""
 
-    __slots__ = ("spec", "payload", "_hash")
+    __slots__ = ("spec", "payload", "_hash", "_sort_key", "_inverse")
 
-    def __init__(self, spec: GroupSpec, payload: int):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_hash", hash((spec, payload)))
+    def __new__(cls, spec: GroupSpec, payload: int):
+        interned = spec._interned
+        if payload in interned:
+            return interned[payload]
+        inverse = (spec.inverses[payload] if spec.kind == TABLE
+                   else -payload % spec.order if spec.kind == CYCLIC else -payload)
+        self = interned[payload] = object.__new__(cls)
+        sort_key = (0 if payload == (spec.identity_index or 0) else 1, payload)
+        for name, value in zip(cls.__slots__, (spec, payload, hash((spec, payload)), sort_key)):
+            object.__setattr__(self, name, value)
+        # Made after self is interned, a new inverse finds self as its own inverse.
+        object.__setattr__(self, "_inverse", cls(spec, inverse))
+        return self
 
     def _args(self):
         return self.spec, self.payload
@@ -146,10 +164,13 @@ class GroupElement(Value):
         return self._hash
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return (self.payload == other.payload
-                and (self.spec is other.spec or self.spec == other.spec))
+        # One spec holds one element per payload, so only distinct specs can be equal here.
+        return (self.spec is not other.spec and self.payload == other.payload
+                and self.spec == other.spec)
 
     def _check(self, other: "GroupElement"):
         if self.spec is not other.spec and self.spec != other.spec:
@@ -164,18 +185,14 @@ class GroupElement(Value):
         return GroupElement(self.spec, self.spec.table[self.payload][other.payload])
 
     def inverse(self) -> "GroupElement":
-        if self.spec.kind == CYCLIC:
-            return GroupElement(self.spec, (-self.payload) % self.spec.order)
-        if self.spec.kind == INTEGERS:
-            return GroupElement(self.spec, -self.payload)
-        return GroupElement(self.spec, self.spec.inverses[self.payload])
+        return self._inverse
 
     def is_identity(self) -> bool:
-        return self == self.spec.identity()
+        return self is self.spec._identity
 
     def sort_key(self):
         """Identity first, then encoding order; total and deterministic."""
-        return (0 if self.is_identity() else 1, self.payload)
+        return self._sort_key
 
     def __str__(self) -> str:
         if self.spec.kind == TABLE:

@@ -25,6 +25,11 @@ CYC_8_12 = os.path.join(ROOT, "tests", "data", "cyc-8-12.json")
 # The integers by 40 one-pair maps labelled 2, 4, ..., 2^40 on 80 points: 3 049
 # elements in the closure set, of which only the 80 listed ones and e carry points.
 SPARSE_Z_40 = os.path.join(ROOT, "tests", "data", "sparse-z-40.json")
+# bench/gen.py's chain(12, random.Random(1)): the integers on q0..q11 by
+# h_t(q_i) = q_{i+t} where both exist, listed for t = 1..11, so the action keeps
+# 23 maps (e and t = -11..11) and the validator multiplies and inverts many
+# integers for few points.
+CHAIN_12 = os.path.join(ROOT, "tests", "data", "chain-12.json")
 # Broken actions, each reported with exit 1. On the integers chain, h_2 sends 4
 # to 1 instead of 6, and some violations sit at unlisted t of the closure set
 # (t = -7, -6, 6, 7). The Z_12 action on {0, 1, 3, 4, 8} by translation has
@@ -53,6 +58,8 @@ CASES = {
     "ideals-e1": (["ideals", _demo("e1.json")], 0),
     "ideals-e2": (["ideals", _demo("e2.json")], 0),
     "validate-sparse-z-40": (["validate", SPARSE_Z_40], 0),
+    "validate-chain-12": (["validate", CHAIN_12], 0),
+    "relation-chain-12": (["relation", CHAIN_12], 0),
     "relation-z3-six-classes": (["relation", Z3_SIX], 0),
     "ideals-z3-six-classes": (["ideals", Z3_SIX], 0),
     "mul-skew-e1": (["mul", "--algebra", "skew", _demo("e1.json"),

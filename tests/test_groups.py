@@ -9,7 +9,7 @@ import pytest
 
 import skewrel
 from skewrel.errors import PreconditionError, StructureError
-from skewrel.groups import GroupSpec
+from skewrel.groups import GroupElement, GroupSpec
 
 
 def s3_table_from_permutations():
@@ -75,6 +75,19 @@ def test_bad_tables_rejected():
              ["b", "d", "e", "a", "c"],
              ["c", "b", "d", "e", "a"],
              ["d", "c", "a", "b", "e"]])
+
+
+@pytest.mark.parametrize("entry", ["z", None, 1.7, True, 2, -1],
+                         ids=["unknown-name", "none", "float", "bool", "index-past-end",
+                              "negative-index"])
+def test_bad_table_entries_rejected(entry):
+    with pytest.raises(StructureError, match="Cayley table entry"):
+        GroupSpec.from_table(["e", "a"], "e", [["e", "a"], ["a", entry]])
+
+
+def test_table_entries_may_be_names_or_indices():
+    by_name = GroupSpec.from_table(["e", "a"], "e", [["e", "a"], ["a", "e"]])
+    assert GroupSpec.from_table(["e", "a"], "e", [[0, "a"], [1, 0]]) == by_name
 
 
 def test_parse_encodings():
@@ -153,7 +166,7 @@ def test_pickle_rehashes_under_another_hash_seed():
     payload = pickle.dumps((names, table, hash(group), {t: str(t) for t in group.elements()}))
     child = """if True:
         import pickle, sys
-        from skewrel.groups import GroupSpec
+        from skewrel.groups import GroupElement, GroupSpec
         names, table, parent_hash, keyed = pickle.loads(sys.stdin.buffer.read())
         group = GroupSpec.from_table(names, "e", table)
         assert hash(group) != parent_hash, "the hash seed did not change"
@@ -176,3 +189,74 @@ def test_table_inverses_are_the_identity_column():
     group = s3()
     for i, row in enumerate(group.table):
         assert group.element(i).inverse() == group.element(row.index(group.identity_index))
+
+
+def klein():
+    names = ["e", "a", "b", "c"]
+    return GroupSpec.from_table(names, "e", [[names[i ^ j] for j in range(4)] for i in range(4)])
+
+
+def test_elements_are_interned_with_their_inverse_linked_both_ways():
+    for group in (GroupSpec.cyclic(6), GroupSpec.integers(), s3(), klein()):
+        payloads = range(-4, 5) if group.kind == "integers" else range(len(group.elements()))
+        for p in payloads:
+            t = group.element(p)
+            assert GroupElement(group, p) is GroupElement(group, p) is t
+            assert group.parse(str(t)) is t
+            assert t.inverse().inverse() is t
+            assert (t * t.inverse()) is group.identity() is (t.inverse() * t)
+        assert group.identity().inverse() is group.identity()
+
+
+def test_inverse_and_sort_key_match_their_reference_formulas():
+    cases = [(GroupSpec.cyclic(n), range(n), lambda p, n=n: (-p) % n, 0) for n in range(1, 10)]
+    cases.append((GroupSpec.integers(), [-10**30, -7, -1, 0, 1, 2, 10**30], lambda p: -p, 0))
+    for group in (s3(), klein()):
+        e = group.identity_index
+        cases.append((group, range(len(group.names)),
+                      lambda p, group=group, e=e: group.table[p].index(e), e))
+    for group, payloads, inverse, e in cases:
+        for p in payloads:
+            t = GroupElement(group, p)
+            assert t.inverse().payload == inverse(p)
+            assert t.inverse() == GroupElement(group, inverse(p))
+            assert t.sort_key() == (0 if p == e else 1, p)
+            assert t.is_identity() == (p == e)
+
+
+def test_elements_of_equal_distinct_groups_compare_and_hash_equal():
+    for a, b in [(GroupSpec.cyclic(5), GroupSpec.cyclic(5)), (s3(), s3()), (klein(), klein()),
+                 (GroupSpec.integers(), GroupSpec.integers())]:
+        for p in range(4):
+            s, t = a.element(p), b.element(p)
+            assert s is not t and s == t and t == s and hash(s) == hash(t)
+            assert s.inverse() == t.inverse() and s.sort_key() == t.sort_key()
+            assert s * t == t * s == a.element(p) * a.element(p)
+            assert (s != t) is False and s != b.element((p + 1) % 4)
+
+
+def test_copy_deepcopy_and_pickle_keep_interned_elements_usable():
+    for group in (GroupSpec.cyclic(7), GroupSpec.integers(), s3(), klein()):
+        t = group.element(3)
+        assert copy.copy(t) is t
+        for twin in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and hash(twin) == hash(t) and twin.spec == group
+            assert twin.inverse().inverse() is twin
+            assert twin.inverse() == t.inverse() and twin.sort_key() == t.sort_key()
+            assert GroupElement(twin.spec, 3) is twin
+        # Pickled together, an element and its inverse come back in one spec.
+        u, v = pickle.loads(pickle.dumps((t, t.inverse())))
+        assert u.spec is v.spec and u.inverse() is v and v.inverse() is u
+
+
+def test_cache_slots_refuse_writes():
+    group = GroupSpec.cyclic(4)
+    t = group.element(1)
+    for name in ("_hash", "_sort_key", "_inverse"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, group.element(2))
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    with pytest.raises(AttributeError):
+        group._interned = {}
+    assert t.inverse() is group.element(3) and t.sort_key() == (1, 1)
