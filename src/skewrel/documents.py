@@ -29,7 +29,7 @@ def _as_document_error():
     """
     try:
         yield
-    except ValidationFailure:
+    except (DocumentError, ValidationFailure):
         raise
     except SkewRelError as exc:
         raise DocumentError(str(exc)) from exc
@@ -184,9 +184,9 @@ def action_doc(field: FieldSpec, action: PartialAction) -> dict:
 def parse_funalg(field: FieldSpec, carrier, obj) -> FunAlgElement:
     if not isinstance(obj, dict):
         raise DocumentError("function element must be an object label -> scalar")
-    coeffs = {label: _parse_text(field.parse, text, "scalar") for label, text in obj.items()}
-    with _as_document_error():
-        return FunAlgElement(field, carrier, coeffs)
+    with _as_document_error():      # raw values, then the constructor's check
+        coeffs = {label: field.read(_string(text, "scalar")) for label, text in obj.items()}
+        return FunAlgElement._raw((field, FunAlgElement._checked(carrier, coeffs)), coeffs)
 
 
 def funalg_doc(f: FunAlgElement) -> dict:
@@ -216,14 +216,14 @@ def parse_rel(field: FieldSpec, rel: Relation, doc) -> RelElement:
     if not isinstance(doc, list):
         raise DocumentError("relation element must be a list of entries")
     coeffs = {}
-    for entry in doc:
-        _require_keys(entry, ["x", "y", "value"], (), "relation entry")
-        key = (_string(entry["x"], "x"), _string(entry["y"], "y"))
-        if key in coeffs:
-            raise DocumentError("duplicate entry for (%s, %s)" % key)
-        coeffs[key] = _parse_text(field.parse, entry["value"], "scalar")
-    with _as_document_error():
-        return RelElement(field, rel, coeffs)
+    with _as_document_error():      # raw values, then the constructor's check
+        for entry in doc:
+            _require_keys(entry, ["x", "y", "value"], (), "relation entry")
+            key = (_string(entry["x"], "x"), _string(entry["y"], "y"))
+            if key in coeffs:
+                raise DocumentError("duplicate entry for (%s, %s)" % key)
+            coeffs[key] = field.read(_string(entry["value"], "scalar"))
+        return RelElement._raw((field, RelElement._checked(rel, coeffs)), coeffs)
 
 
 def rel_doc(f: RelElement) -> list:

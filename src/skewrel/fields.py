@@ -1,9 +1,12 @@
 """Exact field scalars: arbitrary-precision rationals and prime fields GF(p).
 
-There is no floating point anywhere. Elements compute on raw values with
-native + - *: a fractions.Fraction (lowest terms, positive denominator) over Q,
-a residue in [0, p) over GF(p); FieldSpec reduces and inverts them. A Scalar,
-a raw value with its field, is what public constructors and documents use.
+There is no floating point anywhere. Elements compute on raw values: a
+fractions.Fraction (lowest terms, positive denominator) over Q, a residue in
+[0, p) over GF(p), which FieldSpec reads, reduces and inverts. Products add
+ints, one % p per key; over Q they add unreduced integer parts (n, d), equal
+denominators with one integer add, others as (m·d + n·e, e·d), and reduce each
+key once (``fractions``). A Scalar, a raw value with its field, is what public
+constructors take.
 Both are slotted Values written by hand, not dataclasses: each CLI command is
 a fresh interpreter, and importing dataclasses would cost about a fifth of its start-up.
 """
@@ -48,6 +51,11 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def fractions(parts: dict) -> dict:
+    """{key: Fraction(n, d)} of integer parts: one reduction per key."""
+    return {k: Fraction(n, d) for k, (n, d) in parts.items()}
 
 
 class FieldSpec(Value):
@@ -115,17 +123,22 @@ class FieldSpec(Value):
     def from_fraction(self, num: int, den: int) -> "Scalar":
         return Scalar(self, self.raw(num, den))
 
-    def parse(self, text: str) -> "Scalar":
-        """Parse a literal "n" or "p/q" of ASCII digits, exactly -?[0-9]+(/[0-9]+)?."""
+    def read(self, text: str):
+        """The raw value of a literal "n" or "p/q" of ASCII digits, exactly -?[0-9]+(/[0-9]+)?."""
         if not _SCALAR_LITERAL.fullmatch(text):
             raise StructureError("bad scalar literal %r" % (text,))
         num, _, den = text.partition("/")
         try:
-            num, den = int(num), int(den or 1)
+            return self.raw(int(num), int(den or 1))
         except ValueError:      # too many digits: Python 3.10.7 on limits int(str)
             raise StructureError("scalar literal has more than %d digits"
                                  % sys.get_int_max_str_digits()) from None
-        return self.from_fraction(num, den)
+        except PreconditionError as exc:      # a zero denominator
+            raise StructureError("scalar literal %r: %s" % (text, exc)) from None
+
+    def parse(self, text: str) -> "Scalar":
+        """The Scalar of a literal, as ``read`` takes it."""
+        return Scalar(self, self.read(text))
 
 
 class Scalar(Value):

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -18,13 +19,14 @@ from skewrel.actions import (PartialAction, build_relation, check_free,
 from skewrel.cli import main
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle, trivial_action
-from skewrel.funalg import (InducedAlgebraAction, bijection_from_isomorphism,
+from skewrel.funalg import (FunAlgElement, InducedAlgebraAction, bijection_from_isomorphism,
                             classify_linear_functional, psi_from_bijection,
                             recover_set_action)
 from skewrel.groups import GroupSpec
 from skewrel.relalg import (RelElement, RelIdeal, brute_force_ideal_span, count_ideals,
                             gamma, gamma_inv, ideal_closure_of, span_of_ideal)
 from skewrel.selftest import random_rel, random_scalar, random_skew
+from skewrel.skew import SkewElement
 
 Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)
@@ -224,3 +226,63 @@ def test_criterion_10_dense_oracle_over_q():
     ok = span == span_of_ideal(Q, RelIdeal(rel, rel.carrier)) and elapsed < 0.5
     report(10, ok, "ideal oracle on a dense generator over Q on the 32-point chain "
            "(|R| = 1024) in %.2f CPU s" % elapsed)
+
+
+def test_criterion_11_dense_products_over_q_with_coprime_denominators():
+    # The 32-point chain again, every coefficient of u and v nonzero over its own
+    # prime: 2 048 pairwise-coprime denominators, so no two products of a sum
+    # share a denominator and every coefficient of u v has a large one.
+    m = 32
+    z = GroupSpec.integers()
+    chain = PartialAction(z, ["q%d" % i for i in range(m)],
+                          {z.element(t): {"q%d" % i: "q%d" % (i + t) for i in range(m - t)}
+                           for t in range(1, m)})
+    _, rel, alpha = fixture_bundle(Q, chain)
+    primes, n = [], 2
+    while len(primes) < 2 * m * m:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    rng, denominators = random.Random(11), iter(primes)
+    # X_t = h_t(X) = {q_i : 0 <= i - t < m}; u[t, i] is the coefficient of a_t at q_i.
+    u, v = ({(t, i): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), next(denominators))
+             for t in range(1 - m, m) for i in range(max(0, t), min(m, m + t))}
+            for _ in range(2))
+
+    def skew(values):
+        terms: dict = {}
+        for (t, i), c in values.items():
+            terms.setdefault(z.element(t), {})["q%d" % i] = Q.from_fraction(c.numerator,
+                                                                              c.denominator)
+        return SkewElement(alpha, {t: FunAlgElement(Q, alpha.carrier, a)
+                                   for t, a in terms.items()})
+
+    # References in Fraction arithmetic on indices: (a_t d_t)(b_s d_s) is
+    # q_i |-> a_t(q_i) b_s(q_{i-t}) at t + s, and Gamma puts a_t(q_i) at (q_i, q_{i-t}).
+    skew_ref: dict = {}
+    for (t, i), c in u.items():
+        for s in range(1 - m, m):
+            if (s, i - t) in v:
+                skew_ref[t + s, i] = skew_ref.get((t + s, i), 0) + c * v[s, i - t]
+    gv = {(j, j - s): d for (s, j), d in v.items()}
+    rel_ref: dict = {}
+    for (t, i), c in u.items():
+        for k in range(m):
+            if (i - t, k) in gv:
+                rel_ref[i, k] = rel_ref.get((i, k), 0) + c * gv[i - t, k]
+    su, sv = skew(u), skew(v)
+    fu, fv = gamma(rel, su), gamma(rel, sv)
+    start = time.process_time()
+    product = su * sv
+    skew_s = time.process_time() - start
+    start = time.process_time()
+    convolution = fu * fv
+    rel_s = time.process_time() - start
+    ok = {(t.payload, int(x[1:])): c for t, a in product.terms.items()
+          for x, c in a.coeffs.items()} == {k: c for k, c in skew_ref.items() if c}
+    ok = ok and {(int(x[1:]), int(y[1:])): c
+                 for (x, y), c in convolution.coeffs.items()} == {k: c for k, c in
+                                                                   rel_ref.items() if c}
+    ok = ok and skew_s < 0.3 and rel_s < 0.3
+    report(11, ok, "dense products over Q on the 32-point chain with 2 048 pairwise-coprime "
+           "denominators: skew %.3f, F0(R) %.3f CPU s" % (skew_s, rel_s))

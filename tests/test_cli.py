@@ -224,6 +224,12 @@ class TestCommands:
                      "duplicate entry for (a, b)", id="duplicate-rel-entry"),
         pytest.param(E1_DOC, "skew", [{"t": "1", "coeffs": {"zzz": "1"}}],
                      "zzz is not a carrier point", id="coefficient-off-carrier"),
+        # A zero denominator names the literal; over GF(p) it is any multiple of p.
+        pytest.param(E1_DOC, "rel", [{"x": "a", "y": "b", "value": "1/0"}],
+                     "scalar literal '1/0': zero denominator", id="zero-denominator-q"),
+        pytest.param(E1_GF5_DOC, "skew", [{"t": "1", "coeffs": {"a": "1/5"}}],
+                     "scalar literal '1/5': denominator 5 is zero mod 5",
+                     id="zero-denominator-gf5"),
         # A repeated key is refused where the JSON is read, whichever value would win.
         pytest.param(json.dumps(E1_DOC)[:-1].encode() + b', "maps": []}', None, None,
                      'cannot read TMP/action.json: duplicate key "maps"', id="duplicate-key-maps"),

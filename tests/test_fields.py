@@ -73,6 +73,21 @@ def test_parse_round_trip():
             Q.parse(text)
 
 
+def test_read_returns_raw_values_and_names_a_zero_denominator():
+    assert Q.read("-4/6") == Fraction(-2, 3) and type(Q.read("3")) is Fraction
+    assert F5.read("3/2") == 4 and F5.read("-1") == 4
+    for field, text in [(Q, "1/0"), (F5, "1/5"), (F5, "2/10"), (F5, "0/0")]:
+        with pytest.raises(StructureError, match="^scalar literal '%s': " % text):
+            field.read(text)
+        with pytest.raises(StructureError, match="^scalar literal '%s': " % text):
+            field.parse(text)
+    # Library callers keep the PreconditionError of raw.
+    with pytest.raises(PreconditionError, match="^zero denominator$"):
+        Q.raw(1, 0)
+    with pytest.raises(PreconditionError, match="^denominator 10 is zero mod 5$"):
+        F5.raw(2, 10)
+
+
 def test_field_mismatch():
     with pytest.raises(PreconditionError):
         Q.one() + F5.one()

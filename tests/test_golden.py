@@ -30,6 +30,12 @@ SPARSE_Z_40 = os.path.join(ROOT, "tests", "data", "sparse-z-40.json")
 # 23 maps (e and t = -11..11) and the validator multiplies and inverts many
 # integers for few points.
 CHAIN_12 = os.path.join(ROOT, "tests", "data", "chain-12.json")
+# Dense elements over CHAIN_12 from bench/gen.py: after chain(12, rng) with
+# rng = random.Random(1), u and v are dense_skew(fam, rng) twice, and gu and gv
+# their Gamma images. Every pair of R carries a value over Q, with denominators
+# up to 5, so each product coefficient sums 12 fractions of mixed denominators.
+CHAIN_12_ELEMENTS = {name: os.path.join(ROOT, "tests", "data", "chain-12-%s.json" % name)
+                     for name in ("u", "v", "gu", "gv")}
 # Broken actions, each reported with exit 1. On the integers chain, h_2 sends 4
 # to 1 instead of 6, and some violations sit at unlisted t of the closure set
 # (t = -7, -6, 6, 7). The Z_12 action on {0, 1, 3, 4, 8} by translation has
@@ -68,6 +74,12 @@ CASES = {
                     _demo("rel_elem.json"), _demo("rel_elem.json")], 0),
     "gamma-fwd-e1": (["gamma", "--dir", "fwd", _demo("e1.json"), _demo("skew_lhs.json")], 0),
     "gamma-inv-e1": (["gamma", "--dir", "inv", _demo("e1.json"), _demo("rel_elem.json")], 0),
+    "mul-skew-chain-12": (["mul", "--algebra", "skew", CHAIN_12, CHAIN_12_ELEMENTS["u"],
+                           CHAIN_12_ELEMENTS["v"]], 0),
+    "mul-rel-chain-12": (["mul", "--algebra", "rel", CHAIN_12, CHAIN_12_ELEMENTS["gu"],
+                          CHAIN_12_ELEMENTS["gv"]], 0),
+    "gamma-fwd-chain-12": (["gamma", "--dir", "fwd", CHAIN_12, CHAIN_12_ELEMENTS["u"]], 0),
+    "gamma-inv-chain-12": (["gamma", "--dir", "inv", CHAIN_12, CHAIN_12_ELEMENTS["gu"]], 0),
     "selftest-42-25": (["selftest", "--seed", "42", "--trials", "25"], 0),
     # The failure texts of a broken product: the report formats them lazily.
     "selftest-42-25-corrupt": (["selftest", "--seed", "42", "--trials", "25",

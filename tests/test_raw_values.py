@@ -3,7 +3,8 @@
 Elements store a Fraction over Q and a reduced int residue over GF(p) at each
 key; products, convolution, Gamma and the ideal oracle compute on those raw
 values. The public constructors and ``scale`` take Scalars and check their
-field.
+field. Over Q the two products add integer parts (n, d) unreduced; the
+differential tests below hold them to a reference in Scalar arithmetic.
 """
 
 import random
@@ -18,10 +19,12 @@ from skewrel.funalg import FunAlgElement
 from skewrel.relalg import ExactRowSpace, RelElement, brute_force_ideal_span, gamma, gamma_inv
 from skewrel.selftest import random_funalg, random_rel, random_skew
 from skewrel.skew import SkewElement
+from strategies import draw_any
 from test_skew import cyclic_action
 
 Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)
+F7 = FieldSpec(PRIME_FIELD, 7)
 FIELDS = pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
 
 
@@ -202,3 +205,167 @@ def test_equal_field_object_accepted():
     assert f == FunAlgElement.delta(Q, alpha.carrier, "1").scale(same.from_int(2))
     assert RelElement(Q, rel, {("1", "2"): same.one()}) == RelElement.delta(Q, rel, "1", "2")
 
+
+
+# --- the products against a reference in Scalar arithmetic -------------------
+
+def reference_skew_product(u, v) -> SkewElement:
+    """sum over term pairs of alpha_t(alpha_{t^-1}(a_t) b_s) delta_ts, as the paper
+    writes it, with alpha_t(f) = f o h_{t^-1} on X_t and every value a Scalar."""
+    alpha = u.action
+    field, pulls = alpha.field, alpha.action.pulls
+    out: dict = {}
+    for t, a in u.terms.items():
+        h_t, h_tinv = pulls.get(t.inverse(), {}), pulls[t]     # on X_{t^-1} and on X_t
+        for s, b in v.terms.items():
+            inner = {y: Scalar(field, a.coeffs[x]) * Scalar(field, b.coeffs[y])
+                     for y, x in h_t.items() if x in a.coeffs and y in b.coeffs}
+            term = out.setdefault(t * s, {})
+            for x, y in h_tinv.items():
+                if y in inner:
+                    term[x] = term[x] + inner[y] if x in term else inner[y]
+    return SkewElement(alpha, {ts: FunAlgElement(field, alpha.carrier, term)
+                               for ts, term in out.items()})
+
+
+def reference_convolution(f, g) -> RelElement:
+    """(f * g)(x, z) = sum over y of f(x, y) g(y, z), over all pairs of entries."""
+    field, out = f.field, {}
+    for (x, y), c in f.coeffs.items():
+        for (w, z), d in g.coeffs.items():
+            if w == y:
+                term = Scalar(field, c) * Scalar(field, d)
+                out[x, z] = out[x, z] + term if (x, z) in out else term
+    return RelElement(field, f.relation, out)
+
+
+def wide_scalar(rng, field):
+    """A nonzero Scalar: over Q an integer, a small fraction or one past 2^64 over a
+    denominator up to 10^6, so products mix equal and unequal denominators."""
+    if field.modulus is not None:
+        return field.from_int(rng.randrange(1, field.modulus))
+    sign, kind = rng.choice((-1, 1)), rng.randrange(3)
+    if kind == 0:
+        return field.from_int(sign * rng.randrange(1, 10))
+    if kind == 1:
+        return field.from_fraction(sign * rng.randrange(1, 10), rng.randrange(1, 10))
+    return field.from_fraction(sign * (rng.getrandbits(70) + 1), rng.randrange(1, 10 ** 6))
+
+
+def wide_skew(rng, alpha) -> SkewElement:
+    terms = {}
+    for t, x_t in alpha.action.domains.items():
+        if rng.random() < 0.7:
+            support = rng.sample(x_t, rng.randint(0, len(x_t)))
+            terms[t] = FunAlgElement(alpha.field, alpha.carrier,
+                                     {x: wide_scalar(rng, alpha.field) for x in support})
+    return SkewElement(alpha, terms)
+
+
+def wide_rel(rng, field, rel) -> RelElement:
+    pairs = rel.sorted_pairs()
+    return RelElement(field, rel, {p: wide_scalar(rng, field)
+                                   for p in rng.sample(pairs, rng.randint(0, len(pairs)))})
+
+
+def assert_products_match(us, fs) -> int:
+    """Checks each cyclically adjacent pair; returns how many products were nonzero."""
+    nonzero = 0
+    for u, v in zip(us, us[1:] + us[:1]):
+        product = u * v
+        assert product == reference_skew_product(u, v)
+        assert all(a.coeffs for a in product.terms.values())
+        nonzero += not product.is_zero()
+    for f, g in zip(fs, fs[1:] + fs[:1]):
+        product = f * g
+        assert product == reference_convolution(f, g)
+        nonzero += not product.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("field", [Q, F5, F7], ids=["Q", "GF5", "GF7"])
+def test_products_match_the_scalar_reference_on_drawn_actions(field):
+    rng, nonzero = random.Random(2005), 0
+    for _ in range(200):
+        _, rel, alpha = fixture_bundle(field, draw_any(rng, free_only=True).action)
+        nonzero += assert_products_match([random_skew(rng, alpha) for _ in range(3)]
+                              + [wide_skew(rng, alpha) for _ in range(3)],
+                              [random_rel(rng, field, rel) for _ in range(3)]
+                              + [wide_rel(rng, field, rel) for _ in range(3)])
+    assert nonzero > 1000
+
+
+@pytest.mark.parametrize("field", [Q, F5, F7], ids=["Q", "GF5", "GF7"])
+@pytest.mark.parametrize("make_action", [e1_action, e2_action, lambda: cyclic_action(6, 3)],
+                         ids=["E1", "E2", "cyc-6-3"])
+def test_products_of_seeded_draws_match_the_scalar_reference(field, make_action):
+    _, rel, alpha = fixture_bundle(field, make_action())
+    rng = random.Random(11)
+    assert 15 < assert_products_match([random_skew(rng, alpha) for _ in range(30)],
+                          [random_rel(rng, field, rel) for _ in range(30)])
+
+
+def primes(count):
+    found, n = [], 2
+    while len(found) < count:
+        if all(n % p for p in found if p * p <= n):
+            found.append(n)
+        n += 1
+    return found
+
+
+def test_pairwise_coprime_denominators_and_numerators_past_2_64():
+    _, rel, alpha = fixture_bundle(Q, cyclic_action(6, 2))
+    denominators = iter(primes(2 * 6 * 12))
+    rng = random.Random(64)
+
+    def dense():
+        return SkewElement(alpha, {t: FunAlgElement(Q, alpha.carrier, {
+            x: Q.from_fraction(rng.choice((-1, 1)) * (2 ** 64 + rng.getrandbits(64)),
+                               next(denominators)) for x in x_t})
+            for t, x_t in alpha.action.domains.items()})
+
+    u, v = dense(), dense()
+    product = u * v
+    assert product == reference_skew_product(u, v)
+    assert gamma(rel, u) * gamma(rel, v) == reference_convolution(gamma(rel, u), gamma(rel, v))
+    assert gamma(rel, product) == gamma(rel, u) * gamma(rel, v)
+    assert all(c.denominator > 2 ** 6 and abs(c.numerator) > 2 ** 64
+               for a in product.terms.values() for c in a.coeffs.values())
+
+
+def test_terms_that_cancel_to_zero_drop_their_key():
+    # E1: Z_2 = {e, g} on {a, b, c}, h_g swapping a and b.
+    _, rel, alpha = fixture_bundle(Q, e1_action())
+    e, g = alpha.action.identity, alpha.action.group.element(1)
+
+    def skew(terms):
+        return SkewElement(alpha, {t: FunAlgElement(Q, alpha.carrier, {
+            x: Q.parse(text) for x, text in values.items()}) for t, values in terms.items()})
+
+    # At g and a: a_e(a) b_g(a) + a_g(a) b_e(h_g(a)) = 1 * 2/3 + (-1/5) * 10/3 = 0.
+    u = skew({e: {"a": "1", "b": "1"}, g: {"a": "-1/5"}})
+    v = skew({e: {"a": "7/2", "b": "10/3"}, g: {"a": "2/3", "b": "5"}})
+    product = u * v
+    assert product == reference_skew_product(u, v)
+    assert product.terms[g].coeffs == {"b": 5}
+    # And a whole term cancels: drop b_g(b), which feeds only the g term at b.
+    v = skew({e: {"a": "7/2", "b": "10/3"}, g: {"a": "2/3"}})
+    assert (u * v).terms.keys() == {e} and u * v == reference_skew_product(u, v)
+    # In F0(R): (a,a)(a,b) + (a,b)(b,b) = 1/3 * 3/7 + 1/2 * (-2/7) = 0 at (a, b).
+    f = RelElement(Q, rel, {("a", "a"): Q.parse("1/3"), ("a", "b"): Q.parse("1/2"),
+                            ("b", "a"): Q.parse("5")})
+    h = RelElement(Q, rel, {("a", "b"): Q.parse("3/7"), ("b", "b"): Q.parse("-2/7")})
+    assert (f * h).coeffs == {("b", "b"): Fraction(15, 7)}
+    assert f * h == reference_convolution(f, h)
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+def test_by_first_holds_what_convolution_reads(field):
+    _rel, _alpha, _us, fs, _hs = seeded_e2(field, seed=4)
+    for f in fs:
+        rows = [(y, z, d) for y, row in f.by_first.items() for z, d in row]
+        assert sorted((y, z) for y, z, _d in rows) == sorted(f.coeffs)
+        for y, z, d in rows:
+            c = f.coeffs[y, z]
+            assert d == ((c.numerator, c.denominator) if field is Q else c)
