@@ -186,7 +186,8 @@ def parse_funalg(field: FieldSpec, carrier, obj) -> FunAlgElement:
         raise DocumentError("function element must be an object label -> scalar")
     with _as_document_error():      # raw values, then the constructor's check
         coeffs = {label: field.read(_string(text, "scalar")) for label, text in obj.items()}
-        return FunAlgElement._raw((field, FunAlgElement._checked(carrier, coeffs)), coeffs)
+        return FunAlgElement._raw((field, FunAlgElement._checked(carrier, coeffs)),
+                                  field.reduce(coeffs))
 
 
 def funalg_doc(f: FunAlgElement) -> dict:
@@ -223,7 +224,7 @@ def parse_rel(field: FieldSpec, rel: Relation, doc) -> RelElement:
             if key in coeffs:
                 raise DocumentError("duplicate entry for (%s, %s)" % key)
             coeffs[key] = field.read(_string(entry["value"], "scalar"))
-        return RelElement._raw((field, RelElement._checked(rel, coeffs)), coeffs)
+        return RelElement._raw((field, RelElement._checked(rel, coeffs)), field.reduce(coeffs))
 
 
 def rel_doc(f: RelElement) -> list:

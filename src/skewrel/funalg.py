@@ -36,8 +36,10 @@ class SparseSum:
     one checked constructor of the field-valued sums: the subclass hook
     ``_checked(base, keys)`` checks the keys and returns the base, then the
     constructor unwraps Scalars and reduces. Anything built from checked parts
-    trusts them and goes through ``_raw``, as do the seeded draws. Subclasses
-    supply the hook, the product, the term order and ``repr``.
+    trusts them and goes through ``_raw``, which stores values as given: a
+    caller whose values may be unreduced or zero reduces them first, and
+    ``_like`` (kernel output) always does. Subclasses supply the hook, the
+    product, the term order and ``repr``.
     """
 
     coeffs: dict
@@ -53,10 +55,10 @@ class SparseSum:
 
     @classmethod
     def _raw(cls, context: tuple, coeffs: dict):
-        """The element with these coefficients, reduced, over a checked context."""
+        """The element with these reduced, nonzero coefficients over a checked context."""
         self = cls.__new__(cls)
         self.context = context
-        self.coeffs = self._reduce(coeffs)
+        self.coeffs = coeffs
         return self
 
     @classmethod
@@ -68,7 +70,7 @@ class SparseSum:
         return self.context[0].reduce(coeffs)      # the field of a field-valued sum
 
     def _like(self, coeffs):
-        return self._raw(self.context, coeffs)
+        return self._raw(self.context, self._reduce(coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -156,7 +158,7 @@ class LinearMapOnBasis:
         for x, c in f.coeffs.items():
             for y, d in self.columns[x].coeffs.items():
                 accumulate(out, y, c * d)
-        return FunAlgElement._raw((self.field, self.target), out)
+        return FunAlgElement._raw((self.field, self.target), self.field.reduce(out))
 
     def __eq__(self, other):
         return (isinstance(other, LinearMapOnBasis)

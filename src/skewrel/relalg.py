@@ -5,14 +5,14 @@ For free actions it is isomorphic to the skew ring via Gamma, which sends
 f delta_t to the function supported on pairs (x, h_{t^-1}(x)) with value f(x).
 Ideals are exactly the F0((Z x Z) & R) for R-invariant subsets Z. The
 independent oracle computes the ideal A·G·A generated by a set G in two
-passes of row reduction, using only convolution and the unit of A. Both stop
-at dimension |T|, for T the pairs R joins to the generators' supports; over
-Q a rank |T| modulo 2^31 - 1 certifies the answer (von zur Gathen-Gerhard,
-Modern Computer Algebra, ch. 5). It indexes each operand once: an element
-keeps the first-coordinate index ``by_first`` (integer parts over Q, see
-``fields``) that convolution reads when it is a right factor, the oracle
-indexes R's pairs by each coordinate once per call, and its row space
-indexes its rows by ``Relation.column``, R's one pair order.
+passes of row reduction over the products with the matrix units of A, each
+written as a shifted row of its factor. Both stop at dimension |T|, for T
+the pairs R joins to the generators' supports; over Q a rank |T| modulo
+2^31 - 1 certifies the answer (von zur Gathen-Gerhard, Modern Computer
+Algebra, ch. 5). An element keeps the first-coordinate index ``by_first``
+(integer parts over Q, see ``fields``) that convolution reads when it is a
+right factor; the oracle indexes R's pairs by each coordinate once per
+call, and its row space indexes its rows by ``Relation.column``.
 
 F0(R) is built only over a free action: with multiple witnesses convolution
 would double-count, a case the construction does not define. The checked
@@ -23,7 +23,6 @@ operands' relation; the oracle, which takes a bare relation, checks it.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
 
 from .actions import Relation, invariant_closure, equivalence_classes
 from .errors import NotFreeError, PreconditionError
@@ -64,15 +63,17 @@ class RelElement(SparseSum):
     def support(self):
         return sorted(self.coeffs, key=self.relation.column.__getitem__)
 
-    @cached_property
+    @property
     def by_first(self) -> dict:
         """y -> [(z, value at (y, z))], the value as integer parts (n, d) over Q:
-        built on first use, kept as elements are immutable."""
-        by_first: dict[str, list] = {}
-        rational = self.context[0].modulus is None
-        for (y, z), d in self.coeffs.items():
-            by_first.setdefault(y, []).append((z, (d.numerator, d.denominator) if rational else d))
-        return by_first
+        built on first use and kept in the instance dict, as elements are immutable."""
+        if "by_first" not in self.__dict__:
+            rational = self.context[0].modulus is None
+            by_first = self.__dict__["by_first"] = {}
+            for (y, z), d in self.coeffs.items():
+                by_first.setdefault(y, []).append(
+                    (z, (d.numerator, d.denominator) if rational else d))
+        return self.__dict__["by_first"]
 
     def __mul__(self, other: "RelElement") -> "RelElement":
         """Convolution: match middle coordinates over stored support only."""
@@ -244,17 +245,19 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
     """Coefficient space of the ideal A·G·A generated by G in A = F0(R); the
     oracle for the ideal classification. A is unital (1 = sum of the
     delta_(x,x)), so two passes of row reduction suffice: the delta_p * g,
-    then each basis row f times each delta_q. It uses convolution only, never
-    the R-classes, and skips zero products: it forms delta_(x,y) * g only for
-    y a first coordinate of g and f * delta_(y,z) only for y a second one of
-    f, found through an index of the pairs by each coordinate, built once per
-    call. The ideal lies in the span of T, the (x, e) in R with (x, y), (z, e)
-    in R for a (y, z) in a generator's support; either pass stops at dimension
-    |T|. Over Q, unless a denominator is divisible by P = 2^31 - 1, the passes
-    first run over GF(P) on the generators reduced mod P. Reduction is a ring
-    map there, so it cannot raise the rank: rank |T| makes the answer the unit
-    rows of T, and a shortfall (a numerator divisible by P) runs the exact
-    passes."""
+    then each basis row f times each delta_q. It never reads the R-classes,
+    and it writes each product of a unit as a shifted row: delta_(x,y) * g is
+    the row {(x, z): g(y, z)} and f * delta_(y,z) the row {(x, z): f(x, y)},
+    indexed by ``column``. It skips zero products: it forms delta_(x,y) * g
+    only for y a first coordinate of g and f * delta_(y,z) only for y a second
+    one of f, found through an index of the pairs by each coordinate, built
+    once per call. The ideal lies in the span of T, the (x, e) in R with
+    (x, y), (z, e) in R for a (y, z) in a generator's support; either pass
+    stops at dimension |T|. Over Q, unless a denominator is divisible by
+    P = 2^31 - 1, the passes first run over GF(P) on the generators reduced
+    mod P. Reduction is a ring map there, so it cannot raise the rank: rank |T|
+    makes the answer the unit rows of T, and a shortfall (a numerator
+    divisible by P) runs the exact passes."""
     _require_free(rel)
     generators = list(generators)          # read twice: for T and for the products
     if any(g.context != (field, rel) for g in generators):
@@ -270,41 +273,40 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
     cover = sorted(k for x in lefts for k in at[0][x] if pairs[k][1] in rights)    # T
 
     def span(fld, gens) -> ExactRowSpace:
+        """The ideal of gens, each {pair: reduced nonzero value}, as rows over fld."""
         space = ExactRowSpace(fld, len(pairs))
-        one, context, units = fld.raw(1), (fld, rel), {}
 
-        def fills(products) -> bool:
-            for f in products:
-                space.add({column[p]: c for p, c in f.coeffs.items()})
+        def fills(rows) -> bool:
+            for row in rows:
+                space.add(row)
                 if space.dimension == len(cover):
                     return True
             return False
 
-        def units_meeting(f, i):
-            # Units delta_p with p[i] among f's coordinates 1 - i: the only ones whose
-            # product with f (d * f for i = 1, f * d for i = 0) can be nonzero.
-            ends = {p[1 - i] for p in f.coeffs}
-            for k in sorted(k for y in ends for k in at[i].get(y, ())):
-                if k not in units:
-                    units[k] = RelElement._raw(context, {pairs[k]: one})
-                yield units[k]
+        def shifted(f: dict, i: int):
+            # The products with the units delta_p with p[i] among f's coordinates 1 - i,
+            # the only nonzero ones: delta_p * f for i = 1, f * delta_p for i = 0.
+            by_end: dict = {}
+            for p, c in f.items():
+                by_end.setdefault(p[1 - i], []).append((p[i], c))
+            for k in sorted(k for y in by_end for k in at[i].get(y, ())):
+                y, w = pairs[k][i], pairs[k][1 - i]
+                yield ({column[w, z]: c for z, c in by_end[y]} if i else
+                       {column[x, w]: c for x, c in by_end[y]})
 
-        if not fills(d * g for g in gens for d in units_meeting(g, 1)):
+        if not fills(row for g in gens for row in shifted(g, 1)):
             # Copy the rows first: add() back-substitutes into them.
-            left = [RelElement._raw(context, {pairs[col]: c for col, c in row.items()})
-                    for row in space.rows.values()]
-            fills(f * d for f in left for d in units_meeting(f, 0))
+            left = [{pairs[col]: c for col, c in row.items()} for row in space.rows.values()]
+            fills(row for f in left for row in shifted(f, 0))
         return space
 
     if field.modulus is None and all(c.denominator % _CERTIFICATE.modulus
                                      for g in generators for c in g.coeffs.values()):
-        reduced = [RelElement._raw((_CERTIFICATE, rel),
-                                   {p: _CERTIFICATE.raw(c.numerator, c.denominator)
-                                    for p, c in g.coeffs.items()})
-                   for g in generators]
+        reduced = [_CERTIFICATE.reduce({p: _CERTIFICATE.raw(c.numerator, c.denominator)
+                                        for p, c in g.coeffs.items()}) for g in generators]
         if span(_CERTIFICATE, reduced).dimension == len(cover):
             return ExactRowSpace.units(field, len(pairs), cover)
-    return span(field, generators)
+    return span(field, [g.coeffs for g in generators])
 
 
 def span_of_ideal(field: FieldSpec, ideal: RelIdeal) -> ExactRowSpace:

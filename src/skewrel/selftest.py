@@ -2,9 +2,10 @@
 
 All randomness flows from one random.Random(seed) instance and every
 iteration order is defined, so a fixed (seed, trials, inputs) triple yields
-a byte-identical report. The draws read only its getrandbits (CPython's
-rejection loop below n, Random.sample's pool algorithm for pools up to 21),
-not how the random module writes randint, choice or sample. Coefficients
+a byte-identical report. An element is drawn in one loop over getrandbits:
+``_support`` draws a size and a pool sample, ``_values`` a value per key, with
+CPython's rejection loop below n written out, reading the words randint,
+randrange, choice and sample read (pools past 21 go to rng.sample). Coefficients
 are small by design: numerators in {-3..3} minus 0 with denominators in
 {1, 2, 3} over the rationals, uniform nonzero residues over a prime field.
 """
@@ -51,39 +52,57 @@ class SuiteResult:
 
 _NUMERATORS = (-3, -2, -1, 1, 2, 3)
 _DENOMINATORS = (1, 2, 3)
-_RATIONAL_DRAWS = {(n, d): Fraction(n, d) for n in _NUMERATORS for d in _DENOMINATORS}
+_RATIONAL_DRAWS = tuple(tuple(Fraction(n, d) for d in _DENOMINATORS) for n in _NUMERATORS)
 
 
-def _below(bits, n: int) -> int:
-    """A uniform integer in [0, n), n >= 1, from the bound getrandbits ``bits``: the
-    loop of random.Random._randbelow_with_getrandbits, which randrange and choice run."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _sample(rng: random.Random, pool, k: int) -> list:
-    """rng.sample(pool, k), drawn here by its pool algorithm for pools of 21 or fewer."""
+def _support(bits, rng: random.Random, pool) -> list:
+    """rng.sample(pool, rng.randint(0, len(pool))) from the bound getrandbits ``bits``;
+    pools of 21 or fewer are drawn here, by CPython's pool algorithm."""
     n = len(pool)
+    m, w = n + 1, (n + 1).bit_length()
+    k = bits(w)
+    while k >= m:
+        k = bits(w)
     if n > 21:
         return rng.sample(pool, k)
-    bits, pool, out = rng.getrandbits, list(pool), []
-    for i in range(k):
-        j = _below(bits, n - i)
+    pool, out = list(pool), []
+    for m in range(n, n - k, -1):
+        w = m.bit_length()
+        j = bits(w)
+        while j >= m:
+            j = bits(w)
         out.append(pool[j])
-        pool[j] = pool[n - i - 1]          # move the last unchosen item into the gap
+        pool[j] = pool[m - 1]          # move the last unchosen item into the gap
+    return out
+
+
+def _values(bits, modulus, keys) -> dict:
+    """{key: a nonzero raw coefficient} from the stated test distribution, drawn
+    key by key in order: 1 + randrange(modulus - 1) over GF(modulus), a
+    numerator and then a denominator by choice over Q (modulus None)."""
+    out = {}
+    if modulus is not None:
+        m, w = modulus - 1, (modulus - 1).bit_length()
+        for key in keys:
+            r = bits(w)
+            while r >= m:
+                r = bits(w)
+            out[key] = 1 + r
+        return out
+    for key in keys:
+        i = bits(3)
+        while i >= 6:
+            i = bits(3)
+        j = bits(2)
+        while j >= 3:
+            j = bits(2)
+        out[key] = _RATIONAL_DRAWS[i][j]
     return out
 
 
 def random_value(rng: random.Random, field: FieldSpec):
     """Nonzero raw coefficient from the stated test distribution."""
-    bits = rng.getrandbits
-    if field.modulus is not None:
-        return 1 + _below(bits, field.modulus - 1)
-    return _RATIONAL_DRAWS[_NUMERATORS[_below(bits, len(_NUMERATORS))],
-                           _DENOMINATORS[_below(bits, len(_DENOMINATORS))]]
+    return _values(rng.getrandbits, field.modulus, (None,))[None]
 
 
 def random_scalar(rng: random.Random, field: FieldSpec) -> Scalar:
@@ -91,24 +110,24 @@ def random_scalar(rng: random.Random, field: FieldSpec) -> Scalar:
 
 
 def random_funalg(rng, field, carrier, allowed=None) -> FunAlgElement:
-    pool = list(carrier if allowed is None else allowed)      # allowed lies in the carrier
-    support = _sample(rng, pool, _below(rng.getrandbits, len(pool) + 1))
-    return FunAlgElement._raw((field, Carrier(carrier)),
-                              {x: random_value(rng, field) for x in support})
+    bits = rng.getrandbits
+    support = _support(bits, rng, carrier if allowed is None else allowed)
+    return FunAlgElement._raw((field, Carrier(carrier)), _values(bits, field.modulus, support))
 
 
 def random_skew(rng, alpha: InducedAlgebraAction) -> SkewElement:
-    domains = alpha.action.domains
-    ts = list(domains)
-    return SkewElement._raw((alpha.field, alpha), {
-        t: random_funalg(rng, alpha.field, alpha.carrier, domains[t])
-        for t in _sample(rng, ts, _below(rng.getrandbits, len(ts) + 1))})
+    bits, field, domains = rng.getrandbits, alpha.field, alpha.action.domains
+    context, terms = (field, alpha.carrier), {}
+    for t in _support(bits, rng, list(domains)):
+        if values := _values(bits, field.modulus, _support(bits, rng, domains[t])):
+            terms[t] = FunAlgElement._raw(context, values)      # a skew element holds no empty term
+    return SkewElement._raw((field, alpha), terms)
 
 
 def random_rel(rng, field, rel) -> RelElement:
-    pairs = rel.sorted_pairs()
-    chosen = _sample(rng, pairs, _below(rng.getrandbits, len(pairs) + 1))
-    return RelElement._raw((field, rel), {p: random_value(rng, field) for p in chosen})
+    bits = rng.getrandbits
+    return RelElement._raw((field, rel), _values(bits, field.modulus,
+                                                 _support(bits, rng, rel.sorted_pairs())))
 
 
 def _e2_without_h2() -> PartialAction:

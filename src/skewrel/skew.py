@@ -91,9 +91,9 @@ class SkewElement(SparseSum):
             for s, b in right:
                 if products := [(x, c, b[h[x]]) for x, c in a.coeffs.items() if h[x] in b]:
                     _add_products(out.setdefault(t * s, {}), products, rational)
-        context = (alpha.field, alpha.carrier)
-        return self._like({ts: FunAlgElement._raw(context, fractions(term) if rational else term)
-                           for ts, term in out.items()})
+        context, reduce = (alpha.field, alpha.carrier), alpha.field.reduce
+        return self._like({ts: FunAlgElement._raw(context, reduce(fractions(v) if rational else v))
+                           for ts, v in out.items()})
 
     def __repr__(self):
         if self.is_zero():

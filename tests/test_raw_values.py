@@ -12,10 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+from skewrel.actions import PartialAction, build_relation
+from skewrel.documents import parse_funalg, parse_rel
 from skewrel.errors import PreconditionError
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS, Scalar
 from skewrel.fixtures import e1_action, e2_action, fixture_bundle
-from skewrel.funalg import FunAlgElement
+from skewrel.funalg import FunAlgElement, LinearMapOnBasis
+from skewrel.groups import GroupSpec
 from skewrel.relalg import ExactRowSpace, RelElement, brute_force_ideal_span, gamma, gamma_inv
 from skewrel.selftest import random_funalg, random_rel, random_skew
 from skewrel.skew import SkewElement
@@ -122,32 +125,88 @@ def test_kernels_build_no_scalar(field, monkeypatch):
     assert built == []
 
 
+def held_reduced(element) -> bool:
+    """Every value reduced and nonzero; in a skew element, every term nonempty too."""
+    field = element.field
+    if isinstance(element, SkewElement):
+        return all(a.coeffs and held_reduced(a) for a in element.terms.values())
+    if field.modulus is None:
+        return all(type(c) is Fraction and c != 0 for c in element.coeffs.values())
+    return all(type(c) is int and 0 < c < field.modulus for c in element.coeffs.values())
+
+
+def test_parsers_drop_the_values_that_reduce_to_zero():
+    labels = ["a", "b", "c", "d", "e"]
+    texts = dict(zip(labels, ["0", "-0", "0/4", "10", "7"]))
+    rel = build_relation(PartialAction(GroupSpec.cyclic(1), labels, {}))
+    f = parse_funalg(F5, labels, texts)
+    g = parse_rel(F5, rel, [{"x": x, "y": x, "value": text} for x, text in texts.items()])
+    assert f.coeffs == {"e": 2} and held_reduced(f)
+    assert g.coeffs == {("e", "e"): 2} and held_reduced(g)
+    assert f == FunAlgElement(F5, labels, {x: F5.parse(t) for x, t in texts.items()})
+    assert g == RelElement(F5, rel, {(x, x): F5.parse(t) for x, t in texts.items()})
+    q = parse_funalg(Q, labels, {"a": "0", "b": "-0/3", "c": "6/4"})
+    assert q.coeffs == {"c": Fraction(3, 2)} and held_reduced(q)
+
+
 @FIELDS
-def test_oracle_rows_come_from_convolution(field, monkeypatch):
-    rel, _alpha, _us, fs, _hs = seeded_e2(field)
-    products, added = [], []
-    convolve, add = RelElement.__mul__, ExactRowSpace.add
+def test_seeded_draws_hold_no_empty_term(field):
+    # The reference draws the same stream and keeps the terms whose support is empty.
+    _, rel, alpha = fixture_bundle(field, e2_action())
+    domains = alpha.action.domains
+    ours, theirs = random.Random(8), random.Random(8)
+    empty = 0
+    for _ in range(200):
+        u = random_skew(ours, alpha)
+        ts = theirs.sample(list(domains), theirs.randint(0, len(domains)))
+        terms = {t: reference_funalg(theirs, field, alpha.carrier, domains[t]) for t in ts}
+        empty += sum(a.is_zero() for a in terms.values())
+        assert list(u.terms) == [t for t, a in terms.items() if not a.is_zero()]
+        assert held_reduced(u)
+        assert held_reduced(random_rel(ours, field, rel))
+        random_rel(theirs, field, rel)
+    assert empty > 20
 
-    def recording_convolve(f, g):
-        out = convolve(f, g)
-        products.append(out.coeffs)
-        return out
 
-    def recording_add(space, vec):
-        added.append(vec)
+@FIELDS
+def test_gamma_and_its_inverse_hold_reduced_values(field):
+    rel, alpha, us, fs, _hs = seeded_e2(field, seed=6)
+    for u, v in zip(us, us[1:]):
+        assert held_reduced(gamma(rel, u * v)) and held_reduced(gamma_inv(alpha, gamma(rel, u)))
+    for f in fs:
+        assert held_reduced(gamma_inv(alpha, f)) and held_reduced(gamma(rel, gamma_inv(alpha, f)))
+
+
+@FIELDS
+def test_linear_map_images_are_reduced(field):
+    carrier = ("a", "b", "c")
+    two, three = field.from_int(2), field.from_int(3)
+    columns = {"a": FunAlgElement(field, carrier, {"a": two, "b": three}),
+               "b": FunAlgElement(field, carrier, {"a": -two, "c": three}),
+               "c": FunAlgElement(field, carrier, {"c": two})}
+    linear = LinearMapOnBasis(field, carrier, carrier, columns)
+    # (δ_a + δ_b)·3 cancels at a and, over GF(5), gives 3·3 = 4 at b and c.
+    image = linear.apply(FunAlgElement(field, carrier, {"a": three, "b": three}))
+    assert "a" not in image.coeffs and held_reduced(image)
+    assert image.coeffs == {"b": field.raw(9), "c": field.raw(9)}
+
+
+def test_certificate_rows_drop_values_zero_mod_p(monkeypatch):
+    P = 2**31 - 1
+    _, rel, _ = fixture_bundle(Q, e2_action())
+    added, add = [], ExactRowSpace.add
+
+    def recording(space, vec):
+        added.append((space.field, dict(vec)))
         return add(space, vec)
 
-    monkeypatch.setattr(RelElement, "__mul__", recording_convolve)
-    monkeypatch.setattr(ExactRowSpace, "add", recording_add)
-    pairs = rel.sorted_pairs()
-    for f in fs:
-        products.clear()
-        added.clear()
-        brute_force_ideal_span(field, rel, [f])
-        assert added or f.is_zero()
-        assert len(added) <= len(products)
-        for vec, product in zip(added, products):
-            assert {pairs[col]: c for col, c in vec.items()} == product
+    monkeypatch.setattr(ExactRowSpace, "add", recording)
+    g = RelElement(Q, rel, {("1", "1"): Q.from_int(P), ("1", "2"): Q.from_fraction(1, 2)})
+    span = brute_force_ideal_span(Q, rel, [g])
+    assert span.dimension == 9
+    certificate = [vec for fld, vec in added if fld.modulus == P]
+    assert certificate and all(0 < c < P for vec in certificate for c in vec.values())
+    assert {fld.modulus for fld, _ in added} == {P}     # δ_(1,2) alone spans F0(R) of E2
 
 
 def stays_reduced(element, modulus) -> bool:

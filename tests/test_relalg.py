@@ -495,31 +495,6 @@ class TestOracleStopRule:
 
 
 class TestOracleIndexes:
-    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
-    @pytest.mark.parametrize("make_action", ORACLE_ACTIONS + [lambda: cyclic_action(8, 4)],
-                             ids=ORACLE_IDS + ["cyc-8-4"])
-    def test_each_right_factor_is_indexed_once(self, field, make_action, monkeypatch):
-        indexed, right = [], []
-        by_first, convolve = RelElement.__dict__["by_first"], RelElement.__mul__
-
-        def recording_index(element, build=by_first.func):
-            indexed.append(element)
-            return build(element)
-
-        def recording_convolve(f, g):
-            right.append(g)
-            return convolve(f, g)
-
-        monkeypatch.setattr(by_first, "func", recording_index)
-        monkeypatch.setattr(RelElement, "__mul__", recording_convolve)
-        rel, cases = oracle_cases(field, make_action)
-        for generators in cases:      # some generators recur, already indexed
-            brute_force_ideal_span(field, rel, generators)
-        # The recorded elements stay alive, so distinct elements have distinct ids.
-        assert len(indexed) == len({id(f) for f in indexed}) == len({id(g) for g in right})
-        assert {id(f) for f in indexed} == {id(g) for g in right}
-        assert len(right) > 2 * len(indexed)
-
     def test_cost_per_pair_is_flat_in_the_relation(self):
         def per_pair(k):
             _, rel, _ = fixture_bundle(Q, cyclic_action(8, k))
@@ -641,6 +616,136 @@ class TestOracleCertificate:
                 fields = self.run(Q, rel, generators, adds)
                 if value[1] % P == 0:         # nothing to reduce: only the exact passes run
                     assert fields == {Q}
+
+
+def reference_ideal_span(field, rel, generators):
+    """The oracle as it was before it wrote unit products as shifted rows: the
+    same two passes, stop rule and certificate, each product formed by
+    convolution with a matrix unit built when a product first needs it."""
+    relalg._require_free(rel)
+    generators = list(generators)
+    column = rel.column
+    pairs = tuple(column)
+    at = ({}, {})
+    for k, pair in enumerate(pairs):
+        for i in (0, 1):
+            at[i].setdefault(pair[i], []).append(k)
+    lefts = {pairs[k][0] for g in generators for y, _z in g.coeffs for k in at[1].get(y, ())}
+    rights = {pairs[k][1] for g in generators for _y, z in g.coeffs for k in at[0].get(z, ())}
+    cover = sorted(k for x in lefts for k in at[0][x] if pairs[k][1] in rights)
+
+    def span(fld, gens):
+        space = ExactRowSpace(fld, len(pairs))
+        one, context, units = fld.raw(1), (fld, rel), {}
+
+        def fills(products):
+            for f in products:
+                space.add({column[p]: c for p, c in f.coeffs.items()})
+                if space.dimension == len(cover):
+                    return True
+            return False
+
+        def units_meeting(f, i):
+            ends = {p[1 - i] for p in f.coeffs}
+            for k in sorted(k for y in ends for k in at[i].get(y, ())):
+                if k not in units:
+                    units[k] = RelElement._raw(context, {pairs[k]: one})
+                yield units[k]
+
+        if not fills(d * g for g in gens for d in units_meeting(g, 1)):
+            left = [RelElement._raw(context, {pairs[col]: c for col, c in row.items()})
+                    for row in space.rows.values()]
+            fills(f * d for f in left for d in units_meeting(f, 0))
+        return space
+
+    if field.modulus is None and all(c.denominator % P for g in generators
+                                     for c in g.coeffs.values()):
+        reduced = [RelElement(GF_P, rel, {p: GF_P.from_fraction(c.numerator, c.denominator)
+                                          for p, c in g.coeffs.items()})
+                   for g in generators]
+        if span(GF_P, reduced).dimension == len(cover):
+            return ExactRowSpace.units(field, len(pairs), cover)
+    return span(field, generators)
+
+
+def with_p_numerators(field, rel, rng):
+    """Generator lists holding a coefficient P or 2P/3, zero mod P: over Q the
+    certificate falls short of |T| and the exact passes decide."""
+    cases = []
+    for value in ((P, 1), (2 * P, 3)):
+        scalar = field.from_fraction(*value)
+        for pair in rng.sample(rel.sorted_pairs(), min(3, len(rel.pairs))):
+            alone = RelElement(field, rel, {pair: scalar})
+            cases += [[alone], [alone + random_rel(rng, field, rel)]]
+    return cases
+
+
+class TestOracleMatchesTheReference:
+    """The oracle against its convolution form, ``reference_ideal_span``: equal
+    row spaces, the same rows added in the same order, and first-pass rows
+    equal to the products delta_p * g."""
+
+    @staticmethod
+    def check(field, rel, generators, adds) -> set:
+        """Checks one call; returns the fields of the row spaces it filled."""
+        adds.clear()
+        expected = reference_ideal_span(field, rel, generators)
+        reference_rows = [(space.field, list(vec.items())) for space, vec in adds]
+        adds.clear()
+        span = brute_force_ideal_span(field, rel, generators)
+        assert span == expected
+        assert list(span.rows.items()) == list(expected.rows.items())
+        # A wrong row can leave the span as it is, so the rows themselves must agree.
+        assert [(space.field, list(vec.items())) for space, vec in adds] == reference_rows
+        column, spaces = rel.column, {}
+        for space, vec in adds:
+            spaces.setdefault(id(space), (space.field, []))[1].append(vec)
+        for fld, added in spaces.values():
+            gens = generators if fld == field else [
+                RelElement(fld, rel, {p: fld.from_fraction(c.numerator, c.denominator)
+                                      for p, c in g.coeffs.items()}) for g in generators]
+            products = [RelElement.delta(fld, rel, *q) * g for g in gens
+                        for q in rel.sorted_pairs() if q[1] in {y for y, _ in g.coeffs}]
+            firsts = [[(column[p], c) for p, c in d.coeffs.items()] for d in products]
+            # The first pass stops at |T|; when it does not, the second pass follows.
+            assert firsts[:len(added)] == [list(vec.items()) for vec in added[:len(firsts)]]
+        return {fld for fld, _ in spaces.values()}
+
+    @pytest.fixture
+    def adds(self, monkeypatch) -> list:
+        """[(row space, vector)] for every ExactRowSpace.add from now on."""
+        adds, add = [], ExactRowSpace.add
+
+        def recording(space, vec):
+            adds.append((space, dict(vec)))
+            return add(space, vec)
+
+        monkeypatch.setattr(ExactRowSpace, "add", recording)
+        return adds
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    @pytest.mark.parametrize("make_action", ORACLE_ACTIONS + [lambda: cyclic_action(8, 4)],
+                             ids=ORACLE_IDS + ["cyc-8-4"])
+    def test_spans_are_equal(self, field, make_action, adds):
+        rel, cases = oracle_cases(field, make_action)
+        if field == Q:
+            cases += with_p_numerators(field, rel, random.Random(24))
+        fields = set()
+        for generators in cases:
+            fields |= self.check(field, rel, generators, adds)
+        assert fields == ({GF_P, Q} if field == Q else {F5})
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+    def test_spans_are_equal_on_drawn_actions(self, field, adds):
+        rng, fields = random.Random(24), set()
+        for i in range(200):
+            rel = build_relation(draw_any(rng, free_only=True).action)
+            cases = [[random_rel(rng, field, rel) for _ in range(rng.randint(1, 3))]]
+            if field == Q and i % 10 == 0 and rel.pairs:
+                cases += with_p_numerators(field, rel, rng)
+            for generators in cases:
+                fields |= self.check(field, rel, generators, adds)
+        assert fields == ({GF_P, Q} if field == Q else {F5})
 
 
 # Runs the oracle on E2 in a fresh interpreter and prints every vector it hands

@@ -395,7 +395,7 @@ def skew_mul_without_pull(u, v):
         for s, b in v.terms.items():
             if (ab := a * b).coeffs:
                 accumulate(out, t * s, ab)
-    return SkewElement._raw((u.action.field, u.action), out)
+    return u._like(out)             # a sum of terms may cancel to an empty one
 
 
 class TestIdealTheorem:
