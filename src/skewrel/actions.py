@@ -72,7 +72,7 @@ class PartialAction:
         e = group.identity()
         normalized: dict[GroupElement, dict[str, str]] = {}
         for t, pairs in maps.items():
-            if t.spec != group:
+            if t.spec is not group:
                 raise StructureError("map keyed by element of a different group")
             pairs = dict(pairs)
             for x, y in pairs.items():
@@ -120,7 +120,7 @@ class PartialAction:
 
     def __eq__(self, other):
         return (isinstance(other, PartialAction)
-                and self.group == other.group
+                and self.group is other.group
                 and self.carrier == other.carrier
                 and self.pulls == other.pulls)
 

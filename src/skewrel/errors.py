@@ -1,4 +1,6 @@
 """Exception hierarchy and the Value base class, shared by all skewrel modules.
+Values compare and hash by identity, as interned specs and group elements must;
+Scalar alone compares by its field and value.
 
 Exit-code mapping used by the CLI:
   StructureError / ValidationFailure / PreconditionError -> 1
@@ -35,8 +37,8 @@ class DocumentError(SkewRelError):
 
 
 class Value:
-    """An immutable value: its constructor sets its slots with object.__setattr__, and
-    it equals (in its own class only), hashes, copies and pickles as ``_args()``."""
+    """An immutable value: its constructor sets its slots with object.__setattr__, and it
+    copies and pickles through its constructor, as ``_args()``."""
 
     __slots__ = ()
 
@@ -47,11 +49,3 @@ class Value:
 
     def __reduce__(self):
         return type(self), self._args()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._args() == other._args()
-
-    def __hash__(self) -> int:
-        return hash(self._args())

@@ -9,6 +9,7 @@ key once (``fractions``). A Scalar, a raw value with its field, is what public
 constructors take.
 Both are slotted Values written by hand, not dataclasses: each CLI command is
 a fresh interpreter, and importing dataclasses would cost about a fifth of its start-up.
+FieldSpec is interned, one object per (kind, modulus), so fields compare by identity.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # ASCII digits only: int() alone would also take "1_000", "+3", " 3" and non-ASCII digits.
 _SCALAR_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+_SPECS: dict = {}       # (kind, modulus) -> the one FieldSpec with them
 
 
 def _is_prime(n: int) -> bool:
@@ -61,20 +64,24 @@ def fractions(parts: dict) -> dict:
 class FieldSpec(Value):
     __slots__ = ("kind", "modulus")
 
-    def __init__(self, kind: str, modulus: int | None = None):
+    def __new__(cls, kind: str, modulus: int | None = None):
         if kind == RATIONALS:
             if modulus is not None:
                 raise StructureError("rationals take no modulus")
         elif kind == PRIME_FIELD:
-            if modulus is not None and modulus >= MODULUS_LIMIT:
+            if type(modulus) is not int:
+                raise StructureError("prime-field modulus must be an int, got %r" % (modulus,))
+            if modulus >= MODULUS_LIMIT:
                 raise StructureError("prime-field modulus must be below %d" % MODULUS_LIMIT)
-            if modulus is None or not _is_prime(modulus):
-                raise StructureError(
-                    "prime-field modulus must be prime, got %r" % (modulus,))
+            if not _is_prime(modulus):
+                raise StructureError("prime-field modulus must be prime, got %r" % (modulus,))
         else:
             raise StructureError("unknown field kind %r" % (kind,))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "modulus", modulus)
+        if (kind, modulus) not in _SPECS:
+            self = _SPECS[kind, modulus] = object.__new__(cls)
+            object.__setattr__(self, "kind", kind)
+            object.__setattr__(self, "modulus", modulus)
+        return _SPECS[kind, modulus]
 
     def _args(self):
         return self.kind, self.modulus
@@ -107,7 +114,7 @@ class FieldSpec(Value):
 
     def unwrap(self, k: "Scalar"):
         """The raw value of a Scalar of this field."""
-        if k.field is not self and k.field != self:
+        if k.field is not self:
             raise PreconditionError("scalars from different fields")
         return k.value
 
@@ -152,6 +159,12 @@ class Scalar(Value):
 
     def _args(self):
         return self.field, self.value
+
+    def __eq__(self, other):
+        return other.__class__ is Scalar and self.field is other.field and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def _new(self, value) -> "Scalar":
         m = self.field.modulus

@@ -76,8 +76,8 @@ class SparseSum:
         return not self.coeffs
 
     def _check(self, other):
-        # Tuple comparison tests each part for identity before calling __eq__,
-        # so elements over the same objects skip the structural comparison.
+        # Fields compare by identity, and tuple comparison tests the other part for
+        # identity before calling its __eq__, so the same objects compare at once.
         if self.context != other.context:
             raise PreconditionError(self.mismatch)
 
@@ -162,7 +162,7 @@ class LinearMapOnBasis:
 
     def __eq__(self, other):
         return (isinstance(other, LinearMapOnBasis)
-                and self.field == other.field
+                and self.field is other.field
                 and self.source == other.source
                 and self.target == other.target
                 and self.columns == other.columns)
@@ -183,7 +183,7 @@ def classify_linear_functional(field: FieldSpec, carrier, values) -> HomClassifi
     """
     carrier = Carrier(carrier)
     carrier.require(values)
-    if any(v.field != field for v in values.values()):
+    if any(v.field is not field for v in values.values()):
         raise PreconditionError("scalars from different fields")
     support = carrier.sort(x for x, v in values.items() if not v.is_zero())[:2]
     if not support:
@@ -282,7 +282,7 @@ class InducedAlgebraAction:
 
     def __eq__(self, other):
         return (isinstance(other, InducedAlgebraAction)
-                and self.field == other.field
+                and self.field is other.field
                 and self.action == other.action)
 
 

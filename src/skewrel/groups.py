@@ -7,12 +7,12 @@ becomes a latent state.
 
 Specs and elements are slotted Values written by hand, not dataclasses: each CLI
 command is a fresh interpreter, and importing dataclasses would cost about a fifth of
-its start-up. They hash once, at construction; copies and pickles go through the
-constructors, since string hashes differ per process. Elements are interned:
-``GroupElement(spec, p)`` returns the spec's one element with payload p, made on first
-use with its hash, sort key and inverse (linked both ways), so no layer allocates to
-key, sort or invert; a spec keeps every element it made. Elements of equal but
-distinct specs still compare and hash equal.
+its start-up. Both are interned, so they compare and hash by identity, as objects do:
+``GroupSpec(...)`` returns the one spec with its fields, and ``GroupElement(spec, p)``
+the spec's one element with payload p, made on first use with its sort key and inverse
+(linked both ways), so no layer allocates to key, sort or invert. A spec keeps every
+element it made; copies and pickles go through the constructors, so they return the
+interned objects.
 """
 
 from __future__ import annotations
@@ -29,34 +29,37 @@ TABLE = "table"
 # ASCII digits only: int() alone would also take "1_0", "+1", " 1" and non-ASCII digits.
 INTEGER_LITERAL = re.compile(r"-?[0-9]+")
 
+_SPECS: dict = {}       # fields -> the one GroupSpec with them
+
 
 class GroupSpec(Value):
     """Z_n, the integers, or a Cayley table: table[i][j] indexes names[i]*names[j]."""
 
     __slots__ = ("kind", "order", "names", "identity_index", "table",
-                 "inverses", "_fields", "_hash", "_interned", "_identity")
+                 "inverses", "_fields", "_interned", "_identity")
 
-    def __init__(self, kind: str, order: int | None = None, names: tuple | None = None,
-                 identity_index: int | None = None, table: tuple | None = None):
+    def __new__(cls, kind: str, order: int | None = None, names: tuple | None = None,
+                identity_index: int | None = None, table: tuple | None = None):
+        if kind == CYCLIC and (type(order) is not int or order < 1):
+            raise StructureError("cyclic order must be an int >= 1, got %r" % (order,))
         fields = (kind, order, names, identity_index, table)
-        inverses = tuple(row.index(identity_index) for row in table) if kind == TABLE else None
-        for name, value in zip(GroupSpec.__slots__, fields + (inverses, fields, hash(fields), {})):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_identity", GroupElement(self, identity_index or 0))
+        if fields not in _SPECS:
+            self = object.__new__(cls)
+            inverses = tuple(row.index(identity_index) for row in table) if kind == TABLE else None
+            for name, value in zip(cls.__slots__, fields + (inverses, fields, {})):
+                object.__setattr__(self, name, value)
+            object.__setattr__(self, "_identity", GroupElement(self, identity_index or 0))
+            _SPECS[fields] = self
+        return _SPECS[fields]
 
     def _args(self):
         return self._fields
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return "GroupSpec(kind=%r, order=%r, names=%r, identity_index=%r, table=%r)" % self._fields
 
     @staticmethod
     def cyclic(n: int) -> "GroupSpec":
-        if n < 1:
-            raise StructureError("cyclic order must be >= 1")
         return GroupSpec(CYCLIC, order=n)
 
     @staticmethod
@@ -111,6 +114,8 @@ class GroupSpec(Value):
         return self._identity
 
     def element(self, payload: int) -> "GroupElement":
+        if type(payload) is not int:
+            raise StructureError("group element payload must be an int, got %r" % (payload,))
         if self.kind == CYCLIC:
             return GroupElement(self, payload % self.order)
         if self.kind == TABLE and not 0 <= payload < len(self.names):
@@ -141,7 +146,7 @@ class GroupSpec(Value):
 class GroupElement(Value):
     """An immutable group element: its group's spec and an int payload, interned."""
 
-    __slots__ = ("spec", "payload", "_hash", "_sort_key", "_inverse")
+    __slots__ = ("spec", "payload", "_sort_key", "_inverse")
 
     def __new__(cls, spec: GroupSpec, payload: int):
         interned = spec._interned
@@ -151,7 +156,7 @@ class GroupElement(Value):
                    else -payload % spec.order if spec.kind == CYCLIC else -payload)
         self = interned[payload] = object.__new__(cls)
         sort_key = (0 if payload == (spec.identity_index or 0) else 1, payload)
-        for name, value in zip(cls.__slots__, (spec, payload, hash((spec, payload)), sort_key)):
+        for name, value in zip(cls.__slots__, (spec, payload, sort_key)):
             object.__setattr__(self, name, value)
         # Made after self is interned, a new inverse finds self as its own inverse.
         object.__setattr__(self, "_inverse", cls(spec, inverse))
@@ -160,20 +165,8 @@ class GroupElement(Value):
     def _args(self):
         return self.spec, self.payload
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        # One spec holds one element per payload, so only distinct specs can be equal here.
-        return (self.spec is not other.spec and self.payload == other.payload
-                and self.spec == other.spec)
-
     def _check(self, other: "GroupElement"):
-        if self.spec is not other.spec and self.spec != other.spec:
+        if self.spec is not other.spec:
             raise PreconditionError("group elements from different groups")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":

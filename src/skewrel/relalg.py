@@ -115,7 +115,7 @@ def gamma_inv(alpha: InducedAlgebraAction, f: RelElement) -> SkewElement:
     """Inverse of gamma: coefficient at (x, y) with witness s feeds the term
     at t = s^-1 with f_t(x) = f(x, h_{t^-1}(x)). Each (x, y) must be
     (x, h_s(x)) in alpha's action, which is gamma(gamma_inv(f)) = f."""
-    if f.field != alpha.field:
+    if f.field is not alpha.field:
         raise PreconditionError("scalars from different fields")
     rel, pulls = f.relation, alpha.action.pulls
     terms: dict = {}           # s -> (h_s, {x: f_{s^-1}(x)}); h_s is pulls[s^-1], on X_{s^-1}
@@ -236,7 +236,7 @@ class ExactRowSpace:
 
     def __eq__(self, other):
         return (isinstance(other, ExactRowSpace)
-                and self.field == other.field
+                and self.field is other.field
                 and self.width == other.width
                 and self.rows == other.rows)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewrel.errors import PreconditionError, StructureError
-from skewrel.fields import MODULUS_LIMIT, FieldSpec, PRIME_FIELD, RATIONALS, _is_prime
+from skewrel.fields import MODULUS_LIMIT, FieldSpec, PRIME_FIELD, RATIONALS, _SPECS, _is_prime
 
 Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)
@@ -57,6 +57,18 @@ def test_modulus_limit():
         FieldSpec(PRIME_FIELD, MODULUS_LIMIT)
 
 
+def test_moduli_that_are_not_ints_are_refused_before_registering():
+    # Interned by value, 7.0 would share its spec with 7, and True with 1.
+    for modulus in (7.0, 41.0, 5.5, True, False, "7", None, Fraction(7)):
+        with pytest.raises(StructureError, match="prime-field modulus must be an int"):
+            FieldSpec(PRIME_FIELD, modulus)
+    assert type(FieldSpec(PRIME_FIELD, 7).modulus) is int
+    assert all(modulus is None or type(modulus) is int for _kind, modulus in _SPECS)
+    assert FieldSpec(PRIME_FIELD, 7).one().inverse() == FieldSpec(PRIME_FIELD, 7).one()
+    with pytest.raises(StructureError, match="rationals take no modulus"):
+        FieldSpec(RATIONALS, 7.0)
+
+
 def test_canonical_forms():
     assert Q.from_fraction(2, 4) == Q.from_fraction(1, 2)
     assert Q.from_fraction(1, -2) == Q.from_fraction(-1, 2)
@@ -102,7 +114,7 @@ def test_scalar_semantics():
             delattr(x, name)
     assert x.value == Fraction(-1, 2) and x.field is Q
     a, b = FieldSpec(PRIME_FIELD, 5).from_int(3), FieldSpec(PRIME_FIELD, 5).from_int(8)
-    assert a.field is not b.field
+    assert a.field is b.field is F5
     assert a == b and hash(a) == hash(b)
     assert a + b == F5.from_int(1) and a * b == F5.from_int(4)
     f7 = FieldSpec(PRIME_FIELD, 7)
@@ -115,7 +127,7 @@ def test_scalar_semantics():
     assert (str(x), repr(x)) == ("-1/2", "Scalar(-1/2)")
     assert (str(a), repr(a)) == ("3", "Scalar(3)")
     for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
-        assert clone == x and clone.field == Q
+        assert clone == x and clone.field is Q
 
 
 rationals = st.builds(

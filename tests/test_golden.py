@@ -67,6 +67,7 @@ CASES = {
     "validate-chain-12": (["validate", CHAIN_12], 0),
     "relation-chain-12": (["relation", CHAIN_12], 0),
     "relation-z3-six-classes": (["relation", Z3_SIX], 0),
+    "relation-cyc-8-12": (["relation", CYC_8_12], 0),
     "ideals-z3-six-classes": (["ideals", Z3_SIX], 0),
     "mul-skew-e1": (["mul", "--algebra", "skew", _demo("e1.json"),
                      _demo("skew_lhs.json"), _demo("skew_rhs.json")], 0),
@@ -84,7 +85,7 @@ CASES = {
     # The failure texts of a broken product: the report formats them lazily.
     "selftest-42-25-corrupt": (["selftest", "--seed", "42", "--trials", "25",
                                 "--corrupt-skew-mul"], 2),
-    # A document's Q field equals the fixtures' field but is another object.
+    # A document's Q field is the fixtures' field itself, as fields are interned.
     "selftest-e2-7-100": (["selftest", "--action", _demo("e2.json"), "--seed", "7",
                            "--trials", "100"], 0),
     "selftest-e1-gf7-7-100": (["selftest", "--action", E1_GF7, "--seed", "7",

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import skewrel
+from skewrel import groups
 from skewrel.errors import PreconditionError, StructureError
 from skewrel.groups import GroupElement, GroupSpec
 
@@ -114,15 +115,20 @@ def s3():
 
 
 def test_separately_built_equal_groups_share_elements():
-    for a, b in [(s3(), s3()), (GroupSpec.cyclic(6), GroupSpec.cyclic(6)),
+    # Groups are interned: building one twice, by any route, gives the same object.
+    names, table = s3_table_from_permutations()
+    indices = [[names.index(name) for name in row] for row in table]
+    for a, b in [(s3(), s3()), (s3(), GroupSpec.from_table(tuple(names), "e", indices)),
+                 (GroupSpec.cyclic(6), GroupSpec.cyclic(6)),
+                 (GroupSpec.cyclic(6), GroupSpec("cyclic", order=6)),
                  (GroupSpec.integers(), GroupSpec.integers())]:
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert a.identity() is a.identity() and a.identity() == b.identity()
+        assert a is b and a == b and hash(a) == hash(b)
+        assert a.identity() is a.identity() is b.identity()
         payloads = range(-3, 4) if a.kind == "integers" else range(len(a.elements()))
         keyed_a = {a.element(i): i for i in payloads}
         keyed_b = {b.element(i): i for i in payloads}
         for i in payloads:
-            assert a.element(i) == b.element(i) and hash(a.element(i)) == hash(b.element(i))
+            assert a.element(i) is b.element(i) and hash(a.element(i)) == hash(b.element(i))
             assert keyed_a[b.element(i)] == keyed_b[a.element(i)] == i
 
 
@@ -157,24 +163,41 @@ def test_copies_keep_equality_and_lookup():
         assert copy.deepcopy(group) == group and hash(copy.deepcopy(group)) == hash(group)
 
 
+def test_orders_and_payloads_that_are_not_ints_are_refused_before_registering():
+    # Interned by value, 3.0 and True would share a spec or an element with 3 and 1.
+    for n in (2.5, 3.0, True, False, "3", None):
+        for build in (GroupSpec.cyclic, lambda n: GroupSpec("cyclic", n)):
+            with pytest.raises(StructureError, match="cyclic order must be an int >= 1"):
+                build(n)
+    for group in (GroupSpec.cyclic(5), GroupSpec.integers(), s3()):
+        for payload in (1.0, 2.5, True, False, "1", None):
+            with pytest.raises(StructureError, match="payload must be an int"):
+                group.element(payload)
+        assert all(type(t.payload) is int for t in group._interned.values())
+    for n in (1, 3):
+        assert type(GroupSpec.cyclic(n).order) is int
+    assert all(type(spec.order) is int for spec in groups._SPECS.values() if spec.kind == "cyclic")
+
+
 def test_pickle_rehashes_under_another_hash_seed():
-    # Table names are strings, whose hashes change with PYTHONHASHSEED: a hash
-    # carried over in the pickle would miss every key built in the child.
+    # Elements hash by identity, and the table's names are strings, whose hashes
+    # change with PYTHONHASHSEED: a hash carried over in the pickle would miss the
+    # keys in the child, which must find each one by parsing its name.
     group = s3()
     names = [str(t) for t in group.elements()]
     table = [[str(a * b) for b in group.elements()] for a in group.elements()]
-    payload = pickle.dumps((names, table, hash(group), {t: str(t) for t in group.elements()}))
+    payload = pickle.dumps((names, table, hash(names[1]), {t: str(t) for t in group.elements()}))
     child = """if True:
         import pickle, sys
         from skewrel.groups import GroupElement, GroupSpec
         names, table, parent_hash, keyed = pickle.loads(sys.stdin.buffer.read())
         group = GroupSpec.from_table(names, "e", table)
-        assert hash(group) != parent_hash, "the hash seed did not change"
+        assert hash(names[1]) != parent_hash, "the hash seed did not change"
         for name in names:
             t = group.parse(name)
             assert keyed[t] == name
             (twin,) = [k for k in keyed if k == t]
-            assert hash(twin) == hash(t) and twin.spec == group
+            assert twin is t and twin.spec is group
         print("ok")
     """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(skewrel.__file__)),
@@ -224,15 +247,25 @@ def test_inverse_and_sort_key_match_their_reference_formulas():
             assert t.is_identity() == (p == e)
 
 
-def test_elements_of_equal_distinct_groups_compare_and_hash_equal():
+def test_equal_payloads_share_an_element_only_within_one_group():
     for a, b in [(GroupSpec.cyclic(5), GroupSpec.cyclic(5)), (s3(), s3()), (klein(), klein()),
                  (GroupSpec.integers(), GroupSpec.integers())]:
+        assert a is b
         for p in range(4):
             s, t = a.element(p), b.element(p)
-            assert s is not t and s == t and t == s and hash(s) == hash(t)
-            assert s.inverse() == t.inverse() and s.sort_key() == t.sort_key()
+            assert s is t and s == t and t == s and hash(s) == hash(t)
+            assert s.inverse() is t.inverse() and s.sort_key() == t.sort_key()
             assert s * t == t * s == a.element(p) * a.element(p)
             assert (s != t) is False and s != b.element((p + 1) % 4)
+    z5, z6, z = GroupSpec.cyclic(5), GroupSpec.cyclic(6), GroupSpec.integers()
+    for p in range(5):
+        for s, t in [(z5.element(p), z6.element(p)), (z5.element(p), z.element(p)),
+                     (z6.element(p), z.element(p))]:
+            assert s.payload == t.payload and s.sort_key() == t.sort_key()
+            assert s != t and t != s and not s == t
+            assert {s: 1}.get(t) is None
+            with pytest.raises(PreconditionError, match="different groups"):
+                s * t
 
 
 def test_copy_deepcopy_and_pickle_keep_interned_elements_usable():
@@ -240,6 +273,7 @@ def test_copy_deepcopy_and_pickle_keep_interned_elements_usable():
         t = group.element(3)
         assert copy.copy(t) is t
         for twin in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin is t
             assert twin == t and hash(twin) == hash(t) and twin.spec == group
             assert twin.inverse().inverse() is twin
             assert twin.inverse() == t.inverse() and twin.sort_key() == t.sort_key()
@@ -252,7 +286,7 @@ def test_copy_deepcopy_and_pickle_keep_interned_elements_usable():
 def test_cache_slots_refuse_writes():
     group = GroupSpec.cyclic(4)
     t = group.element(1)
-    for name in ("_hash", "_sort_key", "_inverse"):
+    for name in ("_sort_key", "_inverse"):
         with pytest.raises(AttributeError):
             setattr(t, name, group.element(2))
         with pytest.raises(AttributeError):
