@@ -255,9 +255,6 @@ class Relation:
         self.classes = tuple(tuple(block) for block in by_root.values())
         self.class_of = {x: i for i, block in enumerate(self.classes) for x in block}
 
-    def __contains__(self, pair):
-        return pair in self.pairs
-
     @cached_property
     def column(self) -> dict:
         """pair -> its index in carrier order of (x, y), R's one pair order: sorted once."""

@@ -110,12 +110,12 @@ def parse_group(obj) -> GroupSpec:
             return GroupSpec.integers()
         if kind == "table":
             _require_keys(obj, ["kind", "elements", "identity", "table"], (), "table group")
-            names, table = _labels(obj["elements"], "elements"), obj["table"]
+            known, table = set(_labels(obj["elements"], "elements")), obj["table"]
             if not (isinstance(table, list) and all(
-                    isinstance(row, list) and all(name in names for name in row)
+                    isinstance(row, list) and all(isinstance(v, str) and v in known for v in row)
                     for row in table)):
                 raise DocumentError("table must be a list of rows of element names")
-            return GroupSpec.from_table(names, obj["identity"], table)
+            return GroupSpec.from_table(obj["elements"], obj["identity"], table)
     raise DocumentError("unknown group kind %r" % kind)
 
 

@@ -32,10 +32,6 @@ def e2_action() -> PartialAction:
     })
 
 
-def trivial_action(labels=("a", "b")) -> PartialAction:
-    return PartialAction(GroupSpec.cyclic(1), labels, {})
-
-
 def fixture_bundle(field: FieldSpec, action: PartialAction):
     """(action, relation, induced algebra action) for one fixture and field."""
     rel = build_relation(action)

@@ -147,11 +147,6 @@ class RelIdeal:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def __eq__(self, other):
-        return (isinstance(other, RelIdeal)
-                and self.relation == other.relation
-                and self.invariant == other.invariant)
-
 
 def ideal_closure_of(f: RelElement) -> list[str]:
     """Invariant subset generating the same ideal as f: the class closure of

@@ -17,7 +17,7 @@ import operator
 import random
 from fractions import Fraction
 
-from .actions import (Carrier, PartialAction, check_free, equivalence_classes,
+from .actions import (PartialAction, check_free, equivalence_classes,
                       validate_partial_action, verify_equivalence)
 from .errors import PreconditionError
 from .fields import FieldSpec, Scalar
@@ -107,12 +107,6 @@ def random_value(rng: random.Random, field: FieldSpec):
 
 def random_scalar(rng: random.Random, field: FieldSpec) -> Scalar:
     return Scalar(field, random_value(rng, field))
-
-
-def random_funalg(rng, field, carrier, allowed=None) -> FunAlgElement:
-    bits = rng.getrandbits
-    support = _support(bits, rng, carrier if allowed is None else allowed)
-    return FunAlgElement._raw((field, Carrier(carrier)), _values(bits, field.modulus, support))
 
 
 def random_skew(rng, alpha: InducedAlgebraAction) -> SkewElement:

@@ -18,7 +18,7 @@ from skewrel.actions import (PartialAction, build_relation, check_free,
                              validate_partial_action)
 from skewrel.cli import main
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS
-from skewrel.fixtures import e1_action, e2_action, fixture_bundle, trivial_action
+from skewrel.fixtures import e1_action, e2_action, fixture_bundle
 from skewrel.funalg import (FunAlgElement, InducedAlgebraAction, bijection_from_isomorphism,
                             classify_linear_functional, psi_from_bijection,
                             recover_set_action)
@@ -27,6 +27,8 @@ from skewrel.relalg import (RelElement, RelIdeal, brute_force_ideal_span, count_
                             gamma, gamma_inv, ideal_closure_of, span_of_ideal)
 from skewrel.selftest import random_rel, random_scalar, random_skew
 from skewrel.skew import SkewElement
+
+from test_actions import trivial_action
 
 Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)

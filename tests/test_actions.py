@@ -11,7 +11,7 @@ from skewrel.actions import (Carrier, PartialAction, Relation, Violation, build_
                              invariant_closure, validate_partial_action, verify_equivalence,
                              witness)
 from skewrel.errors import PreconditionError, StructureError
-from skewrel.fixtures import e1_action, e2_action, trivial_action
+from skewrel.fixtures import e1_action, e2_action
 from skewrel.groups import GroupElement, GroupSpec
 from skewrel.relalg import count_ideals
 
@@ -35,6 +35,11 @@ class StoredMaps:
         """h_t(x), for x in the domain of h_t."""
         pa = self.pa
         return x if t == pa.identity else pa.pulls[t.inverse()][x]
+
+
+def trivial_action(labels=("a", "b")) -> PartialAction:
+    """The trivial group acting on the given labels: every point its own class."""
+    return PartialAction(GroupSpec.cyclic(1), labels, {})
 
 
 def e2_without_h2():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,19 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_quick_start_runs_as_written():
+    # The python block under "Library quick start", in a fresh interpreter, and the
+    # results its comments state for the last two lines.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    stated = re.findall(r"^(\S.*?)\s+# (.+)$", block, re.M)
+    assert [value for _expression, value in stated] == ["[['a', 'b'], ['c']]", "4"]
+    script = block + "".join("print(repr(%s))\n" % expression for expression, _value in stated)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [value for _expression, value in stated]

@@ -2,6 +2,7 @@ import copy
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -76,6 +77,14 @@ def test_bad_tables_rejected():
              ["b", "d", "e", "a", "c"],
              ["c", "b", "d", "e", "a"],
              ["d", "c", "a", "b", "e"]])
+
+
+def test_repeated_names_are_reported_before_a_missing_identity():
+    # The order a table document has always reported its faults in.
+    with pytest.raises(StructureError, match="duplicate element names"):
+        GroupSpec.from_table(["e", "e"], "z", [["e", "e"], ["e", "e"]])
+    with pytest.raises(StructureError, match="identity 'z' not among element names"):
+        GroupSpec.from_table(["e", "a"], "z", [["e", "a"], ["a", "e"]])
 
 
 @pytest.mark.parametrize("entry", ["z", None, 1.7, True, 2, -1],
@@ -294,3 +303,118 @@ def test_cache_slots_refuse_writes():
     with pytest.raises(AttributeError):
         group._interned = {}
     assert t.inverse() is group.element(3) and t.sort_key() == (1, 1)
+
+
+def table_spec(table, names=("e", "a"), identity_index=0, **more) -> GroupSpec:
+    """GroupSpec("table", ...) built directly, as from_table never builds it."""
+    return GroupSpec("table", names=names, identity_index=identity_index, table=table, **more)
+
+
+def z2_table() -> GroupSpec:
+    return table_spec(((0, 1), (1, 0)))
+
+
+# A magma on five elements with an identity and two-sided inverses, not associative.
+MAGMA = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def interned(name, probe, expected):
+    return pytest.param(probe, expected, id=name)
+
+
+def refused(name, text, probe):
+    return pytest.param(probe, text, id=name)
+
+
+PROBES = [
+    interned("cyclic-payload-past-n", lambda: GroupElement(GroupSpec.cyclic(5), 7),
+             lambda: GroupSpec.cyclic(5).element(2)),
+    interned("cyclic-payload-below-zero", lambda: GroupElement(GroupSpec.cyclic(5), -3),
+             lambda: GroupSpec.cyclic(5).element(2)),
+    interned("integers-payload", lambda: GroupElement(GroupSpec.integers(), -4),
+             lambda: GroupSpec.integers().parse("-4")),
+    interned("table-index", lambda: GroupElement(z2_table(), 1), lambda: z2_table().parse("a")),
+    interned("table-spec", z2_table,
+             lambda: GroupSpec.from_table(["e", "a"], "e", [["e", "a"], ["a", "e"]])),
+    refused("integers-float-payload", "payload must be an int",
+            lambda: GroupElement(GroupSpec.integers(), 2.0)),
+    refused("cyclic-bool-payload", "payload must be an int",
+            lambda: GroupElement(GroupSpec.cyclic(5), True)),
+    refused("cyclic-str-payload", "payload must be an int",
+            lambda: GroupElement(GroupSpec.cyclic(5), "1")),
+    refused("table-index-past-end", "element index out of range",
+            lambda: GroupElement(z2_table(), 10)),
+    refused("table-index-negative", "element index out of range",
+            lambda: GroupElement(z2_table(), -1)),
+    refused("unknown-kind", "unknown group kind", lambda: GroupSpec("bogus")),
+    refused("unhashable-kind", "unknown group kind", lambda: GroupSpec(["cyclic"], order=2)),
+    refused("integers-with-order", "integers group takes no order",
+            lambda: GroupSpec("integers", order=5)),
+    refused("cyclic-with-names", "cyclic group takes no names",
+            lambda: GroupSpec("cyclic", order=5, names=("e",))),
+    refused("table-with-order", "table group takes no order",
+            lambda: table_spec(((0, 1), (1, 0)), order=2)),
+    refused("no-inverse", "'a' has no right inverse", lambda: table_spec(((0, 1), (1, 1)))),
+    refused("not-associative", "associativity fails",
+            lambda: table_spec(MAGMA, names=tuple("eabcd"))),
+    refused("identity-law", "identity law fails at 'a'", lambda: table_spec(((0, 1), (0, 1)))),
+    refused("names-list", "names must be a tuple of strings",
+            lambda: table_spec(((0, 1), (1, 0)), names=["e", "a"])),
+    refused("int-name", "names must be a tuple of strings",
+            lambda: table_spec(((0, 1), (1, 0)), names=("e", 1))),
+    refused("duplicate-names", "duplicate element names",
+            lambda: table_spec(((0, 1), (1, 0)), names=("e", "e"))),
+    refused("identity-index-past-end", "identity index must be an int",
+            lambda: table_spec(((0, 1), (1, 0)), identity_index=2)),
+    refused("table-list", "tuple of tuples", lambda: table_spec([(0, 1), (1, 0)])),
+    refused("rows-lists", "tuple of tuples", lambda: table_spec(([0, 1], [1, 0]))),
+    refused("table-missing", "tuple of tuples", lambda: table_spec(None)),
+    refused("entry-past-end", "Cayley table entry 2", lambda: table_spec(((0, 1), (1, 2)))),
+    refused("row-too-short", "wrong shape", lambda: table_spec(((0, 1), (1,)))),
+    refused("too-few-rows", "must be 2 x 2", lambda: table_spec(((0, 1),))),
+    # Equal in value to a registered spec, but not in type: refused whatever is registered.
+    refused("bool-entries", "Cayley table entry True",
+            lambda: z2_table() and table_spec(((0, True), (True, 0)))),
+    refused("bool-identity-index", "identity index must be an int",
+            lambda: z2_table() and table_spec(((0, 1), (1, 0)), identity_index=False)),
+    refused("float-order", "cyclic order must be an int",
+            lambda: GroupSpec.cyclic(3) and GroupSpec.cyclic(3.0)),
+]
+
+
+@pytest.mark.parametrize("probe, expected", PROBES)
+def test_constructors_refuse_or_return_the_one_interned_object(probe, expected):
+    """``expected`` makes the interned object, or is the text of the refusal."""
+    if isinstance(expected, str):
+        with pytest.raises(StructureError, match=re.escape(expected)):
+            probe()
+        return
+    made = probe()
+    assert made is expected()
+    if isinstance(made, GroupElement):
+        assert made.inverse().inverse() is made and made * made.inverse() is made.spec.identity()
+    assert all(type(t.payload) is int for spec in groups._SPECS.values()
+               for t in spec._interned.values())
+
+
+def test_refused_payloads_leave_a_fresh_interpreter_clean():
+    # Interned by value, 2.0 and True would be stored under the keys 2 and 1.
+    child = """if True:
+        from skewrel.errors import StructureError
+        from skewrel.groups import GroupElement, GroupSpec
+        z, z5 = GroupSpec.integers(), GroupSpec.cyclic(5)
+        assert 2 not in z._interned and 1 not in z5._interned
+        for spec, payload in ((z, 2.0), (z5, True)):
+            try:
+                GroupElement(spec, payload)
+            except StructureError:
+                pass
+            else:
+                raise SystemExit("accepted %r" % (payload,))
+        print(z.element(2), z5.element(1), repr(z.element(2)))
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(skewrel.__file__)))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "2 1 GroupElement(2)\n"

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewrel.actions import PartialAction, build_relation
+from skewrel.actions import Carrier, PartialAction, build_relation
 from skewrel.documents import parse_funalg, parse_rel
 from skewrel.errors import PreconditionError
 from skewrel.fields import FieldSpec, PRIME_FIELD, RATIONALS, Scalar
@@ -20,7 +20,7 @@ from skewrel.fixtures import e1_action, e2_action, fixture_bundle
 from skewrel.funalg import FunAlgElement, LinearMapOnBasis
 from skewrel.groups import GroupSpec
 from skewrel.relalg import ExactRowSpace, RelElement, brute_force_ideal_span, gamma, gamma_inv
-from skewrel.selftest import random_funalg, random_rel, random_skew
+from skewrel.selftest import _support, _values, random_rel, random_skew
 from skewrel.skew import SkewElement
 from strategies import draw_any
 from test_skew import cyclic_action
@@ -29,6 +29,13 @@ Q = FieldSpec(RATIONALS)
 F5 = FieldSpec(PRIME_FIELD, 5)
 F7 = FieldSpec(PRIME_FIELD, 7)
 FIELDS = pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
+
+
+def random_funalg(rng, field, carrier, allowed=None) -> FunAlgElement:
+    """A seeded F0(X) draw, on the selftest battery's distribution of supports and values."""
+    bits = rng.getrandbits
+    support = _support(bits, rng, carrier if allowed is None else allowed)
+    return FunAlgElement._raw((field, Carrier(carrier)), _values(bits, field.modulus, support))
 
 
 def seeded_e2(field, seed=5, count=25):
