@@ -11,8 +11,7 @@ from .funalg import (FunAlgElement, InducedAlgebraAction, LinearMapOnBasis,
                      psi_from_bijection, recover_set_action, subset_of_ideal)
 from .groups import GroupElement, GroupSpec
 from .relalg import (RelElement, RelIdeal, brute_force_ideal_span, count_ideals,
-                     gamma, gamma_inv, ideal_closure_of, ideal_membership,
-                     span_of_ideal)
+                     gamma, gamma_inv, ideal_closure_of, span_of_ideal)
 from .skew import SkewElement
 
 __all__ = [
@@ -25,7 +24,7 @@ __all__ = [
     "InducedAlgebraAction", "recover_set_action",
     "SkewElement",
     "RelElement", "RelIdeal", "gamma", "gamma_inv", "ideal_closure_of",
-    "ideal_membership", "brute_force_ideal_span", "span_of_ideal", "count_ideals",
+    "brute_force_ideal_span", "span_of_ideal", "count_ideals",
 ]
 
 __version__ = "0.1.0"

@@ -98,10 +98,6 @@ class PartialAction:
             self.pulls[t] = normalized[t.inverse()]
         self.domains = {t: tuple(self.carrier.sort(h)) for t, h in self.pulls.items()}
 
-    @property
-    def identity(self) -> GroupElement:
-        return self.group.identity()
-
     def listed(self):
         """Non-identity elements with nonempty maps, in deterministic order."""
         return list(self.domains)[1:]

@@ -127,9 +127,6 @@ class FieldSpec(Value):
     def from_int(self, n: int) -> "Scalar":
         return Scalar(self, self.raw(n))
 
-    def from_fraction(self, num: int, den: int) -> "Scalar":
-        return Scalar(self, self.raw(num, den))
-
     def read(self, text: str):
         """The raw value of a literal "n" or "p/q" of ASCII digits, exactly -?[0-9]+(/[0-9]+)?."""
         if not _SCALAR_LITERAL.fullmatch(text):
@@ -142,10 +139,6 @@ class FieldSpec(Value):
                                  % sys.get_int_max_str_digits()) from None
         except PreconditionError as exc:      # a zero denominator
             raise StructureError("scalar literal %r: %s" % (text, exc)) from None
-
-    def parse(self, text: str) -> "Scalar":
-        """The Scalar of a literal, as ``read`` takes it."""
-        return Scalar(self, self.read(text))
 
 
 class Scalar(Value):
@@ -173,9 +166,6 @@ class Scalar(Value):
     def __add__(self, other: "Scalar") -> "Scalar":
         return self._new(self.value + self.field.unwrap(other))
 
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
-
     def __mul__(self, other: "Scalar") -> "Scalar":
         return self._new(self.value * self.field.unwrap(other))
 
@@ -189,9 +179,6 @@ class Scalar(Value):
 
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def is_one(self) -> bool:
-        return self.value == 1
 
     def __str__(self) -> str:
         return str(self.value)

@@ -61,11 +61,6 @@ class SparseSum:
         self.coeffs = coeffs
         return self
 
-    @classmethod
-    def zero(cls, *context):
-        """The zero element over the context the constructor takes."""
-        return cls(*context)
-
     def _reduce(self, coeffs: dict) -> dict:
         return self.context[0].reduce(coeffs)      # the field of a field-valued sum
 

@@ -57,7 +57,11 @@ def _check_table(names, e, table):
 
 
 def _table_inverses(names, e, table) -> tuple:
-    """The inverse of each index, once the identity, inverse and associative laws hold."""
+    """The inverse of each index, once the identity, inverse and associative laws hold.
+
+    Associativity is Light's test (Clifford and Preston, 1961): the g with (xg)y = x(gy)
+    for all x, y are closed under products, so only the generators it picks are checked,
+    O(n^2) each. Once rows and columns are permutations, each doubles the group so far."""
     n = len(names)
     for i in range(n):
         if table[e][i] != i or table[i][e] != i:
@@ -67,12 +71,23 @@ def _table_inverses(names, e, table) -> tuple:
             raise StructureError("%r has no right inverse" % (names[i],))
         if table[table[i].index(e)][i] != e:
             raise StructureError("%r has no two-sided inverse" % (names[i],))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise StructureError("associativity fails at (%r, %r, %r)"
-                                         % (names[i], names[j], names[k]))
+
+    def middle(g):              # raises unless (xg)y = x(gy) for all x, y
+        for x, y in ((x, y) for x in range(n) for y in range(n)):
+            if table[table[x][g]][y] != table[x][table[g][y]]:
+                raise StructureError("associativity fails at (%r, %r, %r)"
+                                     % (names[x], names[g], names[y]))
+    for g in range(n):          # xa = xb or ax = bx, a != b: g fails between g^-1 and a or b
+        if len(set(table[g])) < n or len({row[g] for row in table}) < n:
+            middle(g)
+    generators, generated = [], {e}
+    while len(generated) < n:
+        generators.append(min(set(range(n)) - generated))   # outside the group so far
+        middle(generators[-1])
+        todo = list(generated)
+        for c in todo:
+            todo += (new := {table[c][g] for g in generators} - generated)
+            generated |= new
     return tuple(row.index(e) for row in table)
 
 
@@ -119,11 +134,14 @@ class GroupSpec(Value):
 
     @staticmethod
     def from_table(names, identity, table) -> "GroupSpec":
-        """The table group of names, whose entries may be names or indices."""
+        """The table group of names, whose rows, lists or tuples, hold names or indices."""
         names = tuple(names)
         _check_names(names)     # before the identity, as documents have reported them
         if identity not in names:
             raise StructureError("identity %r not among element names" % (identity,))
+        if not isinstance(table, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in table):
+            raise StructureError("Cayley table must be a list or tuple of rows")
         pos = {name: i for i, name in enumerate(names)}
         return GroupSpec(TABLE, names=names, identity_index=pos[identity], table=tuple(
             tuple(pos.get(v, v) if isinstance(v, str) else v for v in row) for row in table))

@@ -155,13 +155,6 @@ def ideal_closure_of(f: RelElement) -> list[str]:
     return invariant_closure(f.relation, firsts)
 
 
-def ideal_membership(g: RelElement, ideal: RelIdeal) -> bool:
-    if g.relation != ideal.relation:
-        raise PreconditionError("element and ideal over different relations")
-    invariant = set(ideal.invariant)     # Z is R-invariant, so x in Z puts (x, y) in Z x Z
-    return all(x in invariant for (x, _y) in g.coeffs)
-
-
 def count_ideals(rel: Relation) -> int:
     return 1 << len(equivalence_classes(rel))
 

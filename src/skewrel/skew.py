@@ -67,13 +67,6 @@ class SkewElement(SparseSum):
         """delta_x delta_t."""
         return SkewElement(action, {t: FunAlgElement.delta(action.field, action.carrier, x)})
 
-    @staticmethod
-    def one(action: InducedAlgebraAction) -> "SkewElement":
-        """sum_x delta_x delta_e, the identity when the carrier is finite."""
-        f = FunAlgElement(action.field, action.carrier,
-                          {x: action.field.one() for x in action.carrier})
-        return SkewElement(action, {action.action.identity: f})
-
     def sorted_terms(self):
         return sorted(self.coeffs.items(), key=lambda p: p[0].sort_key())
 

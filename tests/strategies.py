@@ -141,7 +141,7 @@ def mutate(rng, action: PartialAction) -> PartialAction | None:
     """The action with one pair of one stored h_t dropped or its image redirected
     to a point outside h_t's image; h_{t^-1} keeps its mirror pair or loses it.
     The result is usually, not always, invalid. None when no h_t is stored."""
-    maps = {t.inverse(): dict(h) for t, h in action.pulls.items() if t != action.identity}
+    maps = {t.inverse(): dict(h) for t, h in action.pulls.items() if t != action.group.identity()}
     if not maps:
         return None
     t = rng.choice(sorted(maps, key=GroupElement.sort_key))

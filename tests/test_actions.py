@@ -29,12 +29,14 @@ class StoredMaps:
     def subset(self, t):
         """X_t, the codomain of h_t, as a set of labels."""
         pa = self.pa
-        return set(pa.carrier) if t == pa.identity else set(pa.pulls.get(t.inverse(), {}).values())
+        if t == pa.group.identity():
+            return set(pa.carrier)
+        return set(pa.pulls.get(t.inverse(), {}).values())
 
     def apply(self, t, x):
         """h_t(x), for x in the domain of h_t."""
         pa = self.pa
-        return x if t == pa.identity else pa.pulls[t.inverse()][x]
+        return x if t == pa.group.identity() else pa.pulls[t.inverse()][x]
 
 
 def trivial_action(labels=("a", "b")) -> PartialAction:
@@ -249,7 +251,7 @@ def reference_report(pa, elems):
         return ",".join(sorted(xs, key=carrier.index))
 
     found = []
-    for t in sorted(pa.pulls.keys() - {pa.identity}, key=GroupElement.sort_key):
+    for t in sorted(pa.pulls.keys() - {pa.group.identity()}, key=GroupElement.sort_key):
         dom, expected = set(pa.pulls[t.inverse()]), X(t.inverse())
         if dom != expected:
             found.append(Violation(
@@ -390,9 +392,9 @@ class TestTables:
         valid = 0
         for trial in range(1500):
             pa = random_partial_action(rng, groups[trial % len(groups)])
-            assert pa.listed() == sorted(pa.pulls.keys() - {pa.identity},
+            assert pa.listed() == sorted(pa.pulls.keys() - {pa.group.identity()},
                                          key=GroupElement.sort_key)
-            assert list(pa.domains) == list(pa.pulls) == [pa.identity] + pa.listed()
+            assert list(pa.domains) == list(pa.pulls) == [pa.group.identity()] + pa.listed()
             if not validate_partial_action(pa).ok:
                 continue
             valid += 1

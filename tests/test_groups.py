@@ -100,6 +100,75 @@ def test_table_entries_may_be_names_or_indices():
     assert GroupSpec.from_table(["e", "a"], "e", [[0, "a"], [1, 0]]) == by_name
 
 
+def cubic_associative(table) -> bool:
+    """The reference associativity check: every triple."""
+    n = len(table)
+    return all(table[table[i][j]][k] == table[i][table[j][k]]
+               for i, j, k in itertools.product(range(n), repeat=3))
+
+
+def test_lights_test_agrees_with_the_cubic_scan_on_every_order_4_table():
+    # The tables on e, a, b, c with identity e that reach the associativity check:
+    # every row holds e, and the column of its first e is a left inverse too.
+    names = tuple("eabc")
+    rows = [[(i,) + cells for cells in itertools.product(range(4), repeat=3) if 0 in cells]
+            for i in (1, 2, 3)]
+    checked = accepted = 0
+    for rest in itertools.product(*rows):
+        table = ((0, 1, 2, 3),) + rest
+        if any(table[row.index(0)][i] != 0 for i, row in enumerate(table)):
+            continue
+        checked += 1
+        try:
+            inverses = groups._table_inverses(names, 0, table)
+        except StructureError as exc:
+            assert not cubic_associative(table), table
+            assert str(exc).startswith("associativity fails at ")
+            x, g, y = (names.index(v) for v in re.findall(r"'(\w)'", str(exc)))
+            assert table[table[x][g]][y] != table[x][table[g][y]], (table, str(exc))
+        else:
+            assert cubic_associative(table), table
+            assert all(table[i][inverses[i]] == 0 for i in range(4))
+            accepted += 1
+    assert (checked, accepted) == (11092, 4)      # Z_4 three ways, and the Klein group
+
+
+def loops(n):
+    """Every Latin square on range(n) whose row and column 0 are the identity."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, table))
+            return
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                table[i][j] = v
+                yield from fill(k + 1)
+        table[i][j] = None
+    yield from fill(0)
+
+
+@pytest.mark.parametrize("n, count, associative", [(5, 56, 6), (6, 9408, 80)])
+def test_lights_test_agrees_with_the_cubic_scan_on_every_loop(n, count, associative):
+    # Rows and columns are permutations, so only the generators decide: the smallest
+    # loops that are not groups have order 5. Order 6 holds Z_6 (60 ways) and S_3 (20).
+    names, seen, accepted = tuple("eabcdf"[:n]), 0, 0
+    for table in loops(n):
+        seen += 1
+        try:
+            groups._table_inverses(names, 0, table)
+        except StructureError:
+            assert not cubic_associative(table), table
+        else:
+            assert cubic_associative(table), table
+            accepted += 1
+    assert (seen, accepted) == (count, associative)
+
+
 def test_parse_encodings():
     z = GroupSpec.integers()
     assert str(z.parse("-7")) == "-7"
@@ -372,6 +441,13 @@ PROBES = [
     refused("entry-past-end", "Cayley table entry 2", lambda: table_spec(((0, 1), (1, 2)))),
     refused("row-too-short", "wrong shape", lambda: table_spec(((0, 1), (1,)))),
     refused("too-few-rows", "must be 2 x 2", lambda: table_spec(((0, 1),))),
+    # from_table reads rows before the spec sees them: an int row is refused there.
+    refused("from-table-int-row", "Cayley table must be a list or tuple of rows",
+            lambda: GroupSpec.from_table(["e"], "e", [5])),
+    refused("from-table-int-row-in-tuple", "Cayley table must be a list or tuple of rows",
+            lambda: GroupSpec.from_table(["e"], "e", (5,))),
+    refused("from-table-int-second-row", "Cayley table must be a list or tuple of rows",
+            lambda: GroupSpec.from_table(["e"], "e", [[0], 5])),
     # Equal in value to a registered spec, but not in type: refused whatever is registered.
     refused("bool-entries", "Cayley table entry True",
             lambda: z2_table() and table_spec(((0, True), (True, 0)))),

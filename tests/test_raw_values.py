@@ -150,8 +150,8 @@ def test_parsers_drop_the_values_that_reduce_to_zero():
     g = parse_rel(F5, rel, [{"x": x, "y": x, "value": text} for x, text in texts.items()])
     assert f.coeffs == {"e": 2} and held_reduced(f)
     assert g.coeffs == {("e", "e"): 2} and held_reduced(g)
-    assert f == FunAlgElement(F5, labels, {x: F5.parse(t) for x, t in texts.items()})
-    assert g == RelElement(F5, rel, {(x, x): F5.parse(t) for x, t in texts.items()})
+    assert f == FunAlgElement(F5, labels, {x: Scalar(F5, F5.read(t)) for x, t in texts.items()})
+    assert g == RelElement(F5, rel, {(x, x): Scalar(F5, F5.read(t)) for x, t in texts.items()})
     q = parse_funalg(Q, labels, {"a": "0", "b": "-0/3", "c": "6/4"})
     assert q.coeffs == {"c": Fraction(3, 2)} and held_reduced(q)
 
@@ -208,7 +208,7 @@ def test_certificate_rows_drop_values_zero_mod_p(monkeypatch):
         return add(space, vec)
 
     monkeypatch.setattr(ExactRowSpace, "add", recording)
-    g = RelElement(Q, rel, {("1", "1"): Q.from_int(P), ("1", "2"): Q.from_fraction(1, 2)})
+    g = RelElement(Q, rel, {("1", "1"): Q.from_int(P), ("1", "2"): Scalar(Q, Q.raw(1, 2))})
     span = brute_force_ideal_span(Q, rel, [g])
     assert span.dimension == 9
     certificate = [vec for fld, vec in added if fld.modulus == P]
@@ -257,7 +257,7 @@ def test_scalar_from_another_field_rejected():
         RelElement(Q, rel, {("1", "2"): other})
     elements = [FunAlgElement.delta(Q, alpha.carrier, "1"),
                 RelElement.delta(Q, rel, "1", "2"),
-                SkewElement.monomial(alpha, "1", alpha.action.identity)]
+                SkewElement.monomial(alpha, "1", alpha.action.group.identity())]
     for element in elements:
         with pytest.raises(PreconditionError, match="scalars from different fields"):
             element.scale(other)
@@ -314,8 +314,8 @@ def wide_scalar(rng, field):
     if kind == 0:
         return field.from_int(sign * rng.randrange(1, 10))
     if kind == 1:
-        return field.from_fraction(sign * rng.randrange(1, 10), rng.randrange(1, 10))
-    return field.from_fraction(sign * (rng.getrandbits(70) + 1), rng.randrange(1, 10 ** 6))
+        return Scalar(field, field.raw(sign * rng.randrange(1, 10), rng.randrange(1, 10)))
+    return Scalar(field, field.raw(sign * (rng.getrandbits(70) + 1), rng.randrange(1, 10 ** 6)))
 
 
 def wide_skew(rng, alpha) -> SkewElement:
@@ -387,8 +387,8 @@ def test_pairwise_coprime_denominators_and_numerators_past_2_64():
 
     def dense():
         return SkewElement(alpha, {t: FunAlgElement(Q, alpha.carrier, {
-            x: Q.from_fraction(rng.choice((-1, 1)) * (2 ** 64 + rng.getrandbits(64)),
-                               next(denominators)) for x in x_t})
+            x: Scalar(Q, Q.raw(rng.choice((-1, 1)) * (2 ** 64 + rng.getrandbits(64)),
+                               next(denominators))) for x in x_t})
             for t, x_t in alpha.action.domains.items()})
 
     u, v = dense(), dense()
@@ -403,11 +403,12 @@ def test_pairwise_coprime_denominators_and_numerators_past_2_64():
 def test_terms_that_cancel_to_zero_drop_their_key():
     # E1: Z_2 = {e, g} on {a, b, c}, h_g swapping a and b.
     _, rel, alpha = fixture_bundle(Q, e1_action())
-    e, g = alpha.action.identity, alpha.action.group.element(1)
+    e, g = alpha.action.group.identity(), alpha.action.group.element(1)
 
     def skew(terms):
         return SkewElement(alpha, {t: FunAlgElement(Q, alpha.carrier, {
-            x: Q.parse(text) for x, text in values.items()}) for t, values in terms.items()})
+            x: Scalar(Q, Q.read(text)) for x, text in values.items()})
+            for t, values in terms.items()})
 
     # At g and a: a_e(a) b_g(a) + a_g(a) b_e(h_g(a)) = 1 * 2/3 + (-1/5) * 10/3 = 0.
     u = skew({e: {"a": "1", "b": "1"}, g: {"a": "-1/5"}})
@@ -419,9 +420,10 @@ def test_terms_that_cancel_to_zero_drop_their_key():
     v = skew({e: {"a": "7/2", "b": "10/3"}, g: {"a": "2/3"}})
     assert (u * v).terms.keys() == {e} and u * v == reference_skew_product(u, v)
     # In F0(R): (a,a)(a,b) + (a,b)(b,b) = 1/3 * 3/7 + 1/2 * (-2/7) = 0 at (a, b).
-    f = RelElement(Q, rel, {("a", "a"): Q.parse("1/3"), ("a", "b"): Q.parse("1/2"),
-                            ("b", "a"): Q.parse("5")})
-    h = RelElement(Q, rel, {("a", "b"): Q.parse("3/7"), ("b", "b"): Q.parse("-2/7")})
+    f = RelElement(Q, rel, {("a", "a"): Scalar(Q, Q.raw(1, 3)),
+                            ("a", "b"): Scalar(Q, Q.raw(1, 2)), ("b", "a"): Scalar(Q, Q.raw(5))})
+    h = RelElement(Q, rel, {("a", "b"): Scalar(Q, Q.raw(3, 7)),
+                            ("b", "b"): Scalar(Q, Q.raw(-2, 7))})
     assert (f * h).coeffs == {("b", "b"): Fraction(15, 7)}
     assert f * h == reference_convolution(f, h)
 

@@ -17,8 +17,7 @@ from skewrel.fixtures import e1_action, e2_action, fixture_bundle
 from skewrel.funalg import FunAlgElement, InducedAlgebraAction, accumulate
 from skewrel.groups import GroupSpec
 from skewrel.relalg import (ExactRowSpace, RelElement, RelIdeal, brute_force_ideal_span,
-                            count_ideals, gamma, gamma_inv, ideal_closure_of,
-                            ideal_membership, span_of_ideal)
+                            count_ideals, gamma, gamma_inv, ideal_closure_of, span_of_ideal)
 from skewrel.selftest import random_rel, random_scalar, random_skew
 from skewrel.skew import SkewElement
 from strategies import draw_any
@@ -80,7 +79,7 @@ def dense_gauss_jordan(field, width, vectors):
         v = [vec.get(i, zero) for i in range(width)]
         for row in rows:
             c = v[next(i for i, b in enumerate(row) if not b.is_zero())]
-            v = [a - c * b for a, b in zip(v, row)]
+            v = [a + -(c * b) for a, b in zip(v, row)]
         nonzero = [i for i, c in enumerate(v) if not c.is_zero()]
         grew.append(bool(nonzero))
         if not nonzero:
@@ -88,7 +87,7 @@ def dense_gauss_jordan(field, width, vectors):
         piv = nonzero[0]
         inv = v[piv].inverse()
         v = [inv * c for c in v]
-        rows = [[a - row[piv] * b for a, b in zip(row, v)] for row in rows]
+        rows = [[a + -(row[piv] * b) for a, b in zip(row, v)] for row in rows]
         rows.append(v)
     reduced = {}
     for row in rows:
@@ -161,7 +160,7 @@ class TestConvolution:
 
     def test_repr(self, e1):
         _, rel, _ = e1
-        assert repr(RelElement.zero(Q, rel)) == "0"
+        assert repr(RelElement(Q, rel)) == "0"
         f = RelElement(Q, rel, {("c", "c"): Q.one(), ("a", "b"): Q.one()})
         assert repr(f) == "1·δ_(a,b) + 1·δ_(c,c)"
 
@@ -254,7 +253,7 @@ class TestGamma:
     def test_identity_term_hits_diagonal(self, e1):
         action, rel, alpha = e1
         for x in action.carrier:
-            u = SkewElement.monomial(alpha, x, action.identity)
+            u = SkewElement.monomial(alpha, x, action.group.identity())
             assert gamma(rel, u) == RelElement.delta(Q, rel, x, x)
 
     def test_e2_monomial(self, e2):
@@ -272,7 +271,7 @@ class TestGamma:
             RelElement.delta(Q, rel1, "c", "c").scale(Q.from_int(2))
         g = action1.group.element(1)
         expected = SkewElement.monomial(alpha1, "a", g) + \
-            SkewElement.monomial(alpha1, "c", action1.identity).scale(Q.from_int(2))
+            SkewElement.monomial(alpha1, "c", action1.group.identity()).scale(Q.from_int(2))
         assert gamma_inv(alpha1, f) == expected
 
     @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "GF5"])
@@ -302,7 +301,7 @@ class TestGamma:
 
     def test_gamma_inv_refuses_an_element_over_another_field(self, e1):
         action, rel, _alpha = e1
-        f = RelElement.delta(Q, rel, "a", "b").scale(Q.parse("1/3"))
+        f = RelElement.delta(Q, rel, "a", "b").scale(Scalar(Q, Q.read("1/3")))
         with pytest.raises(PreconditionError, match="^scalars from different fields$"):
             gamma_inv(InducedAlgebraAction(F5, action), f)
 
@@ -321,11 +320,11 @@ class TestGamma:
         pa = non_free_action()
         rel = build_relation(pa)
         alpha = InducedAlgebraAction(Q, pa, validate=False)
-        u = SkewElement.zero(alpha)
+        u = SkewElement(alpha)
         with pytest.raises(NotFreeError):
             gamma(rel, u)
         with pytest.raises(NotFreeError):
-            gamma_inv(alpha, RelElement.zero(Q, rel))
+            gamma_inv(alpha, RelElement(Q, rel))
 
 
 class TestIdeals:
@@ -362,16 +361,9 @@ class TestIdeals:
     def test_closure_of_element(self, e1, e2):
         _, rel1, _ = e1
         assert ideal_closure_of(RelElement.delta(Q, rel1, "a", "b")) == ["a", "b"]
-        assert ideal_closure_of(RelElement.zero(Q, rel1)) == []
+        assert ideal_closure_of(RelElement(Q, rel1)) == []
         _, rel2, _ = e2
         assert ideal_closure_of(RelElement.delta(Q, rel2, "2", "2")) == ["1", "2", "3"]
-
-    def test_membership(self, e1):
-        _, rel, _ = e1
-        ideal = RelIdeal(rel, ["a", "b"])
-        assert ideal_membership(RelElement.delta(Q, rel, "a", "b"), ideal)
-        assert not ideal_membership(RelElement.delta(Q, rel, "c", "c"), ideal)
-        assert ideal_membership(RelElement.zero(Q, rel), ideal)
 
     def test_counts(self, e1, e2):
         assert count_ideals(e1[1]) == 4
@@ -446,7 +438,6 @@ class TestBruteForceSpan:
         assert span.dimension == span.width == 256
 
     def test_lattice_map_injective_and_monotone(self, e1):
-        from skewrel.actions import enumerate_invariant_subsets
         _, rel, _ = e1
         subsets = enumerate_invariant_subsets(rel)
         ideals = [RelIdeal(rel, s) for s in subsets]
@@ -606,7 +597,7 @@ class TestOracleCertificate:
         Either way the exact passes decide."""
         adds = recording_adds(monkeypatch)
         rel = build_relation(make_action())
-        scalar = Q.from_fraction(*value)
+        scalar = Scalar(Q, Q.raw(*value))
         rng = random.Random(19)
         for pair in rel.sorted_pairs():
             alone = RelElement(Q, rel, {pair: scalar})
@@ -660,7 +651,7 @@ def reference_ideal_span(field, rel, generators):
 
     if field.modulus is None and all(c.denominator % P for g in generators
                                      for c in g.coeffs.values()):
-        reduced = [RelElement(GF_P, rel, {p: GF_P.from_fraction(c.numerator, c.denominator)
+        reduced = [RelElement(GF_P, rel, {p: Scalar(GF_P, GF_P.raw(c.numerator, c.denominator))
                                           for p, c in g.coeffs.items()})
                    for g in generators]
         if span(GF_P, reduced).dimension == len(cover):
@@ -673,7 +664,7 @@ def with_p_numerators(field, rel, rng):
     certificate falls short of |T| and the exact passes decide."""
     cases = []
     for value in ((P, 1), (2 * P, 3)):
-        scalar = field.from_fraction(*value)
+        scalar = Scalar(field, field.raw(*value))
         for pair in rng.sample(rel.sorted_pairs(), min(3, len(rel.pairs))):
             alone = RelElement(field, rel, {pair: scalar})
             cases += [[alone], [alone + random_rel(rng, field, rel)]]
@@ -702,7 +693,7 @@ class TestOracleMatchesTheReference:
             spaces.setdefault(id(space), (space.field, []))[1].append(vec)
         for fld, added in spaces.values():
             gens = generators if fld == field else [
-                RelElement(fld, rel, {p: fld.from_fraction(c.numerator, c.denominator)
+                RelElement(fld, rel, {p: Scalar(fld, fld.raw(c.numerator, c.denominator))
                                       for p, c in g.coeffs.items()}) for g in generators]
             products = [RelElement.delta(fld, rel, *q) * g for g in gens
                         for q in rel.sorted_pairs() if q[1] in {y for y, _ in g.coeffs}]
@@ -808,15 +799,6 @@ def reference_gamma(rel, u):
     return RelElement._raw((u.action.field, rel), out)
 
 
-def reference_membership(g, ideal):
-    """Membership as it was before it read the invariant subset: every pair of
-    g's support in the materialised basis of the ideal."""
-    if g.relation != ideal.relation:
-        raise PreconditionError("element and ideal over different relations")
-    basis = set(ideal.basis)
-    return all(p in basis for p in g.coeffs)
-
-
 def outcome(fn, *args):
     """fn(*args), or the text of the PreconditionError it raises."""
     try:
@@ -857,7 +839,7 @@ class TestGammaMatchesTheReference:
             _action, rel, alpha = fixture_bundle(Q, action)
             for _ in range(30):
                 kept = {t.inverse(): h for t, h in action.pulls.items()
-                        if t != action.identity and rng.random() < 0.5}
+                        if t != action.group.identity() and rng.random() < 0.5}
                 other = build_relation(PartialAction(action.group, action.carrier, kept))
                 u = random_skew(rng, alpha)
                 got = outcome(gamma, other, u)
@@ -865,27 +847,3 @@ class TestGammaMatchesTheReference:
                 errors += isinstance(got, str)
                 images += not isinstance(got, str)
         assert errors > 30 and images > 10
-
-
-class TestMembershipMatchesTheReference:
-    def test_verdicts_are_equal(self):
-        rng = random.Random(43)
-        relations = [fixture_bundle(Q, action)[1] for _name, action in reference_cases()]
-        relations += [build_relation(draw_any(rng, free_only=True).action) for _ in range(150)]
-        compared = members = 0
-        for rel in relations:
-            subsets = enumerate_invariant_subsets(rel)
-            for subset in rng.sample(subsets, min(8, len(subsets))):
-                ideal = RelIdeal(rel, subset)
-                inside = [p for p in rel.sorted_pairs() if p[0] in ideal.invariant]
-                for _ in range(20):
-                    # Mostly pairs of the ideal, now and then one pair of R outside it.
-                    chosen = rng.sample(inside, rng.randint(0, len(inside)))
-                    if rel.pairs and rng.random() < 0.4:
-                        chosen.append(rng.choice(rel.sorted_pairs()))
-                    g = RelElement._raw((Q, rel), {p: Q.raw(1) for p in chosen})
-                    verdict = ideal_membership(g, ideal)
-                    assert verdict == reference_membership(g, ideal)
-                    compared += 1
-                    members += verdict
-        assert compared >= 5000 and 1000 < members < compared - 1000

@@ -35,7 +35,7 @@ class TestAddition:
     def test_zero_is_neutral(self):
         alpha = e1_alpha()
         u = SkewElement.monomial(alpha, "a", alpha.action.group.element(1))
-        assert u + SkewElement.zero(alpha) == u
+        assert u + SkewElement(alpha) == u
 
     def test_cancellation(self):
         alpha = e1_alpha()
@@ -46,7 +46,7 @@ class TestAddition:
         alpha = e1_alpha()
         g = alpha.action.group.element(1)
         u = SkewElement.monomial(alpha, "a", g)
-        v = SkewElement.monomial(alpha, "c", alpha.action.identity)
+        v = SkewElement.monomial(alpha, "c", alpha.action.group.identity())
         assert len((u + v).terms) == 2
 
     def test_action_mismatch(self):
@@ -55,6 +55,26 @@ class TestAddition:
             v = SkewElement.monomial(e2_alpha(), "1", e2_action().group.element(1))
             u + v
 
+    def test_equal_actions_built_apart_mix(self):
+        # Two induced actions made separately from equal set actions: their elements
+        # add, multiply and compare through InducedAlgebraAction.__eq__.
+        alpha, twin = e1_alpha(), InducedAlgebraAction(Q, e1_action())
+        assert twin is not alpha and twin.action is not alpha.action and twin == alpha
+        e, g = alpha.action.group.identity(), alpha.action.group.element(1)
+        u, v = SkewElement.monomial(alpha, "a", g), SkewElement.monomial(twin, "b", g)
+        assert u == SkewElement.monomial(twin, "a", g)
+        assert u + v == v + u and len((u + v).terms[g].coeffs) == 2
+        assert u * v == SkewElement.monomial(twin, "a", e)
+        # An equal carrier is not enough: another action, or the same one over GF(5).
+        swap_bc = PartialAction(alpha.action.group, alpha.carrier, {g: {"b": "c", "c": "b"}})
+        for other in (InducedAlgebraAction(Q, swap_bc), InducedAlgebraAction(F5, e1_action())):
+            assert other != alpha
+            w = SkewElement.monomial(other, "b", g)
+            assert u != w
+            for op in (operator.add, operator.mul):
+                with pytest.raises(PreconditionError, match="^elements over different actions$"):
+                    op(u, w)
+
 
 class TestMultiplication:
     def test_e1_cross_term(self):
@@ -62,7 +82,7 @@ class TestMultiplication:
         g = alpha.action.group.element(1)
         dag = SkewElement.monomial(alpha, "a", g)
         dbg = SkewElement.monomial(alpha, "b", g)
-        expected = SkewElement.monomial(alpha, "a", alpha.action.identity)
+        expected = SkewElement.monomial(alpha, "a", alpha.action.group.identity())
         assert dag * dbg == expected
 
     def test_e1_self_product_vanishes(self):
@@ -80,7 +100,10 @@ class TestMultiplication:
 
     def test_two_sided_identity(self):
         for alpha in (e1_alpha(), e2_alpha(F5)):
-            one = SkewElement.one(alpha)
+            # sum_x delta_x delta_e: the unit, as the carrier is finite.
+            e = alpha.action.group.identity()
+            one = sum((SkewElement.monomial(alpha, x, e) for x in alpha.carrier),
+                      SkewElement(alpha))
             rng = random.Random(3)
             for _ in range(20):
                 u = random_skew(rng, alpha)
@@ -89,7 +112,9 @@ class TestMultiplication:
 
     def test_field_is_the_action_field(self):
         for alpha in (e1_alpha(), e2_alpha(F5)):
-            assert SkewElement.one(alpha).field is alpha.field
+            e = alpha.action.group.identity()
+            assert SkewElement(alpha).field is alpha.field
+            assert SkewElement.monomial(alpha, alpha.carrier[0], e).field is alpha.field
 
     def test_closure_under_product(self):
         rng = random.Random(5)
@@ -242,7 +267,7 @@ class TestFusedProduct:
 
     def test_cancelling_terms_drop_out(self):
         alpha = e1_alpha(F5)
-        e, g = alpha.action.identity, alpha.action.group.element(1)
+        e, g = alpha.action.group.identity(), alpha.action.group.element(1)
         f = FunAlgElement(F5, alpha.carrier, {"a": F5.from_int(1), "b": F5.from_int(2)})
         u = SkewElement(alpha, {e: f, g: f})
         v = SkewElement(alpha, {e: f, g: f.scale(F5.from_int(-1))})

@@ -34,7 +34,7 @@ VALUES = {
                   "FieldSpec(kind='rationals', modulus=None)"),
     "gf5": (lambda: FieldSpec("prime-field", 5),
             "FieldSpec(kind='prime-field', modulus=5)"),
-    "scalar-q": (lambda: FieldSpec("rationals").from_fraction(-1, 2), "Scalar(-1/2)"),
+    "scalar-q": (lambda: Scalar(FieldSpec("rationals"), Fraction(-1, 2)), "Scalar(-1/2)"),
     "scalar-gf5": (lambda: FieldSpec("prime-field", 5).from_int(8), "Scalar(3)"),
     "cyclic": (lambda: GroupSpec.cyclic(3),
                "GroupSpec(kind='cyclic', order=3, names=None, identity_index=None, table=None)"),
