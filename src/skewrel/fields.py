@@ -2,10 +2,11 @@
 
 There is no floating point anywhere. Elements compute on raw values: a
 fractions.Fraction (lowest terms, positive denominator) over Q, a residue in
-[0, p) over GF(p), which FieldSpec reads, reduces and inverts. Products add
-ints, one % p per key; over Q they add unreduced integer parts (n, d), equal
-denominators with one integer add, others as (m·d + n·e, e·d), and reduce each
-key once (``fractions``). A Scalar, a raw value with its field, is what public
+[0, p) over GF(p), which FieldSpec reads, reduces and inverts. It also owns the
+format that the skew product and the convolution sum in: ``add_products`` adds
+plain ints over GF(p) and unreduced integer parts (n, d) over Q, equal
+denominators with one integer add, others as (m·d + n·e, e·d), and ``total``
+reduces each key once. A Scalar, a raw value with its field, is what public
 constructors take.
 Both are slotted Values written by hand, not dataclasses: each CLI command is
 a fresh interpreter, and importing dataclasses would cost about a fifth of its start-up.
@@ -56,11 +57,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def fractions(parts: dict) -> dict:
-    """{key: Fraction(n, d)} of integer parts: one reduction per key."""
-    return {k: Fraction(n, d) for k, (n, d) in parts.items()}
-
-
 class FieldSpec(Value):
     __slots__ = ("kind", "modulus")
 
@@ -105,6 +101,24 @@ class FieldSpec(Value):
         if m is None:
             return {k: v for k, v in values.items() if v}
         return {k: r for k, v in values.items() if (r := v % m)}
+
+    def add_products(self, sums: dict, products):
+        """sums[key] += c * e for each (key, c, e) of raw values, a missing key counting
+        as zero: plain ints over GF(p), integer parts (n, d) over Q. ``total`` reduces them."""
+        if self.modulus:
+            for key, c, e in products:
+                sums[key] = sums.get(key, 0) + c * e
+            return
+        for key, c, e in products:
+            n, d = c.numerator * e.numerator, c.denominator * e.denominator
+            m, f = sums.get(key, (0, d))
+            sums[key] = (m + n, f) if f == d else (m * d + n * f, f * d)
+
+    def total(self, sums: dict) -> dict:
+        """{key: raw value} of what ``add_products`` summed, reduced once per key, zeros dropped."""
+        if self.modulus:
+            return self.reduce(sums)
+        return {k: Fraction(n, d) for k, (n, d) in sums.items() if n}
 
     def inv(self, value):
         """The inverse of a nonzero raw value."""

@@ -135,6 +135,8 @@ class GroupSpec(Value):
     @staticmethod
     def from_table(names, identity, table) -> "GroupSpec":
         """The table group of names, whose rows, lists or tuples, hold names or indices."""
+        if not isinstance(names, (list, tuple)):
+            raise StructureError("table group names must be a list or tuple of strings")
         names = tuple(names)
         _check_names(names)     # before the identity, as documents have reported them
         if identity not in names:

@@ -10,9 +10,10 @@ written as a shifted row of its factor. Both stop at dimension |T|, for T
 the pairs R joins to the generators' supports; over Q a rank |T| modulo
 2^31 - 1 certifies the answer (von zur Gathen-Gerhard, Modern Computer
 Algebra, ch. 5). An element keeps the first-coordinate index ``by_first``
-(integer parts over Q, see ``fields``) that convolution reads when it is a
-right factor; the oracle indexes R's pairs by each coordinate once per
-call, and its row space indexes its rows by ``Relation.column``.
+that convolution reads when it is a right factor, and convolution sums its
+products through the field (``FieldSpec.add_products``); the oracle indexes
+R's pairs by each coordinate once per call, and its row space indexes its
+rows by ``Relation.column``.
 
 F0(R) is built only over a free action: with multiple witnesses convolution
 would double-count, a case the construction does not define. The checked
@@ -26,7 +27,7 @@ from collections import defaultdict
 
 from .actions import Relation, invariant_closure, equivalence_classes
 from .errors import NotFreeError, PreconditionError
-from .fields import PRIME_FIELD, FieldSpec, fractions
+from .fields import PRIME_FIELD, FieldSpec
 from .funalg import FunAlgElement, InducedAlgebraAction, SparseSum
 from .skew import SkewElement
 
@@ -65,34 +66,21 @@ class RelElement(SparseSum):
 
     @property
     def by_first(self) -> dict:
-        """y -> [(z, value at (y, z))], the value as integer parts (n, d) over Q:
-        built on first use and kept in the instance dict, as elements are immutable."""
+        """y -> [(z, f(y, z))]: built on first use and kept in the instance dict, as
+        elements are immutable."""
         if "by_first" not in self.__dict__:
-            rational = self.context[0].modulus is None
             by_first = self.__dict__["by_first"] = {}
             for (y, z), d in self.coeffs.items():
-                by_first.setdefault(y, []).append(
-                    (z, (d.numerator, d.denominator) if rational else d))
+                by_first.setdefault(y, []).append((z, d))
         return self.__dict__["by_first"]
 
     def __mul__(self, other: "RelElement") -> "RelElement":
         """Convolution: match middle coordinates over stored support only."""
         self._check(other)
-        by_first, out = other.by_first, {}
-        if self.context[0].modulus:
-            for (x, y), c in self.coeffs.items():
-                for z, d in by_first.get(y, ()):
-                    p = (x, z)
-                    out[p] = out[p] + c * d if p in out else c * d
-            return self._like(out)
-        for (x, y), c in self.coeffs.items():      # skew's _add_products, on by_first's parts
-            if row := by_first.get(y):
-                cn, cd = c.numerator, c.denominator
-                for z, (dn, dd) in row:
-                    n, d = cn * dn, cd * dd
-                    m, e = out.get((x, z), (0, d))
-                    out[x, z] = (m + n, e) if e == d else (m * d + n * e, e * d)
-        return self._like(fractions(out))
+        field, by_first, out = self.field, other.by_first, {}
+        field.add_products(out, (((x, z), c, d) for (x, y), c in self.coeffs.items()
+                                 for z, d in by_first.get(y, ())))
+        return self._raw(self.context, field.total(out))
 
     def __repr__(self):
         if self.is_zero():

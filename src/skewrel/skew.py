@@ -7,29 +7,16 @@ The product extends (a_t delta_t)(b_s delta_s) = alpha_t(alpha_{t^-1}(a_t) b_s)
 delta_{ts} bilinearly. As alpha_t(f) = f o h_{t^-1}, the pullback puts a_t(x) at
 h_{t^-1}(x) and alpha_t brings the pointwise product back to x, so the product
 computes the ts term directly as x |-> a_t(x) b_s(h_{t^-1}(x)), on the x in the
-support of a_t with h_{t^-1}(x) in that of b_s; over Q it adds integer parts
-(see ``fields``). Terms are canonicalized so equality is structural.
+support of a_t with h_{t^-1}(x) in that of b_s, summed by the field
+(``FieldSpec.add_products``). Terms are canonicalized so equality is structural.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .fields import Scalar, fractions
+from .fields import Scalar
 from .funalg import FunAlgElement, InducedAlgebraAction, SparseSum
 from .groups import GroupElement
-
-
-def _add_products(out: dict, products, rational: bool):
-    """out[key] += c * e for each (key, c, e) of raw values, a missing key counting
-    as zero: over Q out holds integer parts (n, d), added as ``fields`` describes."""
-    if not rational:
-        for key, c, e in products:
-            out[key] = out.get(key, 0) + c * e
-        return
-    for key, c, e in products:
-        n, d = c.numerator * e.numerator, c.denominator * e.denominator
-        m, f = out.get(key, (0, d))
-        out[key] = (m + n, f) if f == d else (m * d + n * f, f * d)
 
 
 class SkewElement(SparseSum):
@@ -75,18 +62,16 @@ class SkewElement(SparseSum):
 
     def __mul__(self, other: "SkewElement") -> "SkewElement":
         self._check(other)
-        alpha = self.action
-        rational = alpha.field.modulus is None
+        alpha, field = self.action, self.field
         right = [(s, b.coeffs) for s, b in other.coeffs.items()]
-        out: dict = {}                                 # ts -> {x: value or parts (n, d)}
+        out: dict = {}                                 # ts -> {x: the field's sum}
         for t, a in self.coeffs.items():
             h = alpha.action.pulls[t]                  # h_{t^-1}, defined on X_t
             for s, b in right:
                 if products := [(x, c, b[h[x]]) for x, c in a.coeffs.items() if h[x] in b]:
-                    _add_products(out.setdefault(t * s, {}), products, rational)
-        context, reduce = (alpha.field, alpha.carrier), alpha.field.reduce
-        return self._like({ts: FunAlgElement._raw(context, reduce(fractions(v) if rational else v))
-                           for ts, v in out.items()})
+                    field.add_products(out.setdefault(t * s, {}), products)
+        context = (field, alpha.carrier)
+        return self._like({ts: FunAlgElement._raw(context, field.total(v)) for ts, v in out.items()})
 
     def __repr__(self):
         if self.is_zero():

@@ -36,6 +36,14 @@ CHAIN_12 = os.path.join(ROOT, "tests", "data", "chain-12.json")
 # up to 5, so each product coefficient sums 12 fractions of mixed denominators.
 CHAIN_12_ELEMENTS = {name: os.path.join(ROOT, "tests", "data", "chain-12-%s.json" % name)
                      for name in ("u", "v", "gu", "gv")}
+# Dense elements over GF(7) from bench/gen.py: with rng = random.Random(1),
+# cyc(6, 4, rng, modulus=7) is Z_6 on 4 orbits, then u and v are
+# dense_skew(fam, rng) twice and gu and gv their Gamma images, each written by
+# json.dump(doc, handle, indent=2) and a newline. Every pair of R carries a
+# residue, and 16 of the 144 coefficients of the product sum to zero mod 7.
+CYC_6_4_GF7 = os.path.join(ROOT, "tests", "data", "cyc-6-4-gf7.json")
+CYC_6_4_GF7_ELEMENTS = {name: os.path.join(ROOT, "tests", "data", "cyc-6-4-gf7-%s.json" % name)
+                        for name in ("u", "v", "gu", "gv")}
 # Broken actions, each reported with exit 1. On the integers chain, h_2 sends 4
 # to 1 instead of 6, and some violations sit at unlisted t of the closure set
 # (t = -7, -6, 6, 7). The Z_12 action on {0, 1, 3, 4, 8} by translation has
@@ -81,6 +89,13 @@ CASES = {
                           CHAIN_12_ELEMENTS["gv"]], 0),
     "gamma-fwd-chain-12": (["gamma", "--dir", "fwd", CHAIN_12, CHAIN_12_ELEMENTS["u"]], 0),
     "gamma-inv-chain-12": (["gamma", "--dir", "inv", CHAIN_12, CHAIN_12_ELEMENTS["gu"]], 0),
+    "mul-skew-cyc-6-4-gf7": (["mul", "--algebra", "skew", CYC_6_4_GF7,
+                              CYC_6_4_GF7_ELEMENTS["u"], CYC_6_4_GF7_ELEMENTS["v"]], 0),
+    "mul-rel-cyc-6-4-gf7": (["mul", "--algebra", "rel", CYC_6_4_GF7,
+                             CYC_6_4_GF7_ELEMENTS["gu"], CYC_6_4_GF7_ELEMENTS["gv"]], 0),
+    "gamma-fwd-cyc-6-4-gf7": (["gamma", "--dir", "fwd", CYC_6_4_GF7, CYC_6_4_GF7_ELEMENTS["u"]], 0),
+    "gamma-inv-cyc-6-4-gf7": (["gamma", "--dir", "inv", CYC_6_4_GF7,
+                               CYC_6_4_GF7_ELEMENTS["gu"]], 0),
     "selftest-42-25": (["selftest", "--seed", "42", "--trials", "25"], 0),
     # The failure texts of a broken product: the report formats them lazily.
     "selftest-42-25-corrupt": (["selftest", "--seed", "42", "--trials", "25",

@@ -448,6 +448,13 @@ PROBES = [
             lambda: GroupSpec.from_table(["e"], "e", (5,))),
     refused("from-table-int-second-row", "Cayley table must be a list or tuple of rows",
             lambda: GroupSpec.from_table(["e"], "e", [[0], 5])),
+    # from_table reads names as a list or tuple: an int, None or a string is refused there.
+    refused("from-table-int-names", "names must be a list or tuple of strings",
+            lambda: GroupSpec.from_table(5, "e", [[0]])),
+    refused("from-table-no-names", "names must be a list or tuple of strings",
+            lambda: GroupSpec.from_table(None, "e", [[0]])),
+    refused("from-table-string-names", "names must be a list or tuple of strings",
+            lambda: GroupSpec.from_table("ab", "a", [["a", "b"], ["b", "a"]])),
     # Equal in value to a registered spec, but not in type: refused whatever is registered.
     refused("bool-entries", "Cayley table entry True",
             lambda: z2_table() and table_spec(((0, True), (True, 0)))),

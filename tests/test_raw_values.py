@@ -434,6 +434,5 @@ def test_by_first_holds_what_convolution_reads(field):
     for f in fs:
         rows = [(y, z, d) for y, row in f.by_first.items() for z, d in row]
         assert sorted((y, z) for y, z, _d in rows) == sorted(f.coeffs)
-        for y, z, d in rows:
-            c = f.coeffs[y, z]
-            assert d == ((c.numerator, c.denominator) if field is Q else c)
+        # The raw values themselves: the field's add_products reads them as they are.
+        assert all(d is f.coeffs[y, z] for y, z, d in rows)
