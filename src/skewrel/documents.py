@@ -92,12 +92,6 @@ def parse_field(obj) -> FieldSpec:
     raise DocumentError("unknown field kind %r" % obj["kind"])
 
 
-def field_doc(field: FieldSpec) -> dict:
-    if field.kind == RATIONALS:
-        return {"kind": RATIONALS}
-    return {"kind": PRIME_FIELD, "modulus": field.modulus}
-
-
 def parse_group(obj) -> GroupSpec:
     _require_keys(obj, ["kind"], ["n", "elements", "identity", "table"], "group")
     kind = obj.get("kind")
@@ -117,19 +111,6 @@ def parse_group(obj) -> GroupSpec:
                 raise DocumentError("table must be a list of rows of element names")
             return GroupSpec.from_table(obj["elements"], obj["identity"], table)
     raise DocumentError("unknown group kind %r" % kind)
-
-
-def group_doc(group: GroupSpec) -> dict:
-    if group.kind == "cyclic":
-        return {"kind": "cyclic", "n": group.order}
-    if group.kind == "integers":
-        return {"kind": "integers"}
-    return {
-        "kind": "table",
-        "elements": list(group.names),
-        "identity": group.names[group.identity_index],
-        "table": [[group.names[v] for v in row] for row in group.table],
-    }
 
 
 def parse_action_document(doc) -> tuple[FieldSpec, PartialAction]:
@@ -167,18 +148,6 @@ def parse_action_document(doc) -> tuple[FieldSpec, PartialAction]:
 
 def load_action(path) -> tuple[FieldSpec, PartialAction]:
     return parse_action_document(load_json(path))
-
-
-def action_doc(field: FieldSpec, action: PartialAction) -> dict:
-    return {
-        "field": field_doc(field),
-        "group": group_doc(action.group),
-        "set": list(action.carrier),
-        "maps": [           # h_t is pulls[t^-1], on X_{t^-1}
-            {"t": str(t), "pairs": [[x, action.pulls[ti][x]] for x in action.domains[ti]]}
-            for t in action.listed() for ti in [t.inverse()]
-        ],
-    }
 
 
 def parse_funalg(field: FieldSpec, carrier, obj) -> FunAlgElement:

@@ -3,11 +3,11 @@
 There is no floating point anywhere. Elements compute on raw values: a
 fractions.Fraction (lowest terms, positive denominator) over Q, a residue in
 [0, p) over GF(p), which FieldSpec reads, reduces and inverts. It also owns the
-format that the skew product and the convolution sum in: ``add_products`` adds
-plain ints over GF(p) and unreduced integer parts (n, d) over Q, equal
-denominators with one integer add, others as (m·d + n·e, e·d), and ``total``
-reduces each key once. A Scalar, a raw value with its field, is what public
-constructors take.
+format that the skew product and the convolution sum in: ``factors`` reads values
+once, as ints over GF(p) and integer parts (n, d) over Q; ``add_products`` sums
+their products unreduced, equal denominators with one integer add, others as
+(m·d + n·e, e·d); ``total`` reduces each key once. Public constructors take a
+Scalar, a raw value with its field.
 Both are slotted Values written by hand, not dataclasses: each CLI command is
 a fresh interpreter, and importing dataclasses would cost about a fifth of its start-up.
 FieldSpec is interned, one object per (kind, modulus), so fields compare by identity.
@@ -102,15 +102,20 @@ class FieldSpec(Value):
             return {k: v for k, v in values.items() if v}
         return {k: r for k, v in values.items() if (r := v % m)}
 
+    def factors(self, values: dict) -> dict:
+        """{key: the factor ``add_products`` reads} for a dict of raw values: the dict
+        itself over GF(p), each value's integer parts (n, d) over Q."""
+        return values if self.modulus else {k: v.as_integer_ratio() for k, v in values.items()}
+
     def add_products(self, sums: dict, products):
-        """sums[key] += c * e for each (key, c, e) of raw values, a missing key counting
-        as zero: plain ints over GF(p), integer parts (n, d) over Q. ``total`` reduces them."""
+        """sums[key] += c * e for each (key, c, e) of factors, a missing key counting as
+        zero: plain ints over GF(p), integer parts (n, d) over Q. ``total`` reduces them."""
         if self.modulus:
             for key, c, e in products:
                 sums[key] = sums.get(key, 0) + c * e
             return
-        for key, c, e in products:
-            n, d = c.numerator * e.numerator, c.denominator * e.denominator
+        for key, (a, b), (c, d) in products:
+            n, d = a * c, b * d
             m, f = sums.get(key, (0, d))
             sums[key] = (m + n, f) if f == d else (m * d + n * f, f * d)
 

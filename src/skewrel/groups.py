@@ -154,12 +154,6 @@ class GroupSpec(Value):
     def element(self, payload: int) -> "GroupElement":
         return GroupElement(self, payload)
 
-    def elements(self):
-        """All elements; finite groups only."""
-        if self.kind == INTEGERS:
-            raise PreconditionError("the integers group is infinite")
-        return [_element(self, i) for i in range(self.order or len(self.names))]
-
     def parse(self, text: str) -> "GroupElement":
         if self.kind == TABLE:
             if text not in self.names:

@@ -66,11 +66,11 @@ class RelElement(SparseSum):
 
     @property
     def by_first(self) -> dict:
-        """y -> [(z, f(y, z))]: built on first use and kept in the instance dict, as
-        elements are immutable."""
+        """y -> [(z, f(y, z) as the field's factor)]: built on first use and kept in the
+        instance dict, as elements are immutable."""
         if "by_first" not in self.__dict__:
             by_first = self.__dict__["by_first"] = {}
-            for (y, z), d in self.coeffs.items():
+            for (y, z), d in self.field.factors(self.coeffs).items():
                 by_first.setdefault(y, []).append((z, d))
         return self.__dict__["by_first"]
 
@@ -78,7 +78,8 @@ class RelElement(SparseSum):
         """Convolution: match middle coordinates over stored support only."""
         self._check(other)
         field, by_first, out = self.field, other.by_first, {}
-        field.add_products(out, (((x, z), c, d) for (x, y), c in self.coeffs.items()
+        left = field.factors(self.coeffs).items()
+        field.add_products(out, (((x, z), c, d) for (x, y), c in left
                                  for z, d in by_first.get(y, ())))
         return self._raw(self.context, field.total(out))
 

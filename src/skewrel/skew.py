@@ -63,12 +63,13 @@ class SkewElement(SparseSum):
     def __mul__(self, other: "SkewElement") -> "SkewElement":
         self._check(other)
         alpha, field = self.action, self.field
-        right = [(s, b.coeffs) for s, b in other.coeffs.items()]
+        right = [(s, field.factors(b.coeffs)) for s, b in other.coeffs.items()]
         out: dict = {}                                 # ts -> {x: the field's sum}
         for t, a in self.coeffs.items():
             h = alpha.action.pulls[t]                  # h_{t^-1}, defined on X_t
+            left = field.factors(a.coeffs).items()
             for s, b in right:
-                if products := [(x, c, b[h[x]]) for x, c in a.coeffs.items() if h[x] in b]:
+                if products := [(x, c, b[h[x]]) for x, c in left if h[x] in b]:
                     field.add_products(out.setdefault(t * s, {}), products)
         context = (field, alpha.carrier)
         return self._like({ts: FunAlgElement._raw(context, field.total(v)) for ts, v in out.items()})

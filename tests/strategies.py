@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from skewrel.actions import PartialAction
 from skewrel.groups import GroupElement, GroupSpec
 
+from helpers import group_elements
+
 
 def permutation_group(perms) -> GroupSpec:
     """The table group of a set of permutation tuples closed under composition,
@@ -60,7 +62,7 @@ class Drawn:
 
 def _subgroup(rng, group: GroupSpec) -> frozenset:
     """{e} half the time, else the cyclic subgroup of a random element or, now and then, G."""
-    elements = group.elements()
+    elements = group_elements(group)
     if rng.random() < 0.5:
         return frozenset([group.identity()])
     if rng.random() < 0.15:
@@ -77,7 +79,7 @@ def _finite_points(rng, group: GroupSpec, copies: int, free_only: bool):
     subgroups = {c: frozenset([group.identity()]) if free_only else _subgroup(rng, group)
                  for c in range(copies)}
     points = [(c, frozenset(g * k for k in sub))
-              for c, sub in subgroups.items() for g in group.elements()]
+              for c, sub in subgroups.items() for g in group_elements(group)]
     points = list(dict.fromkeys(points))                   # each coset once
 
     def act(t, point):
@@ -109,7 +111,7 @@ def draw(rng, group: GroupSpec, max_points=8, free_only=False, max_copies=3) -> 
         universe, subgroups, act = _finite_points(rng, group, copies, free_only)
         chosen = rng.sample(universe, rng.randint(0, min(max_points, len(universe))))
         trivial = {c: len(sub) == 1 for c, sub in subgroups.items()}
-        elements = [t for t in group.elements() if not t.is_identity()]
+        elements = [t for t in group_elements(group) if not t.is_identity()]
         label = {p: "%d:%s" % (p[0], ",".join(sorted(map(str, p[1])))) for p in universe}
     kept = set(chosen)
     maps = {}
@@ -165,7 +167,7 @@ def reference_elements(action: PartialAction) -> list:
     holds the closure set."""
     group = action.group
     if group.kind != "integers":
-        elements = group.elements()
+        elements = group_elements(group)
     else:
         m = max((abs(t.payload) for t in action.pulls), default=0)
         elements = [group.element(k) for k in range(-2 * m, 2 * m + 1)]

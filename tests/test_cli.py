@@ -11,12 +11,13 @@ from skewrel import actions, cli
 from skewrel.actions import (PartialAction, build_relation, enumerate_invariant_subsets,
                              equivalence_classes)
 from skewrel.cli import build_parser, main
-from skewrel.documents import (action_doc, dump_json, parse_action_document)
+from skewrel.documents import dump_json, parse_action_document
 from skewrel.errors import DocumentError, ValidationFailure
 from skewrel.fixtures import GF5, RATIONALS_FIELD, e1_action, e2_action
 from skewrel.groups import GroupSpec
 from skewrel.relalg import RelIdeal
 
+from helpers import action_doc
 from strategies import draw_any
 
 E1_DOC = {

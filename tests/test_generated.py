@@ -8,12 +8,13 @@ import random
 from skewrel.actions import (build_relation, check_free, equivalence_classes,
                              validate_partial_action)
 from skewrel.cli import main
-from skewrel.documents import action_doc, dump_json, skew_doc
+from skewrel.documents import dump_json, skew_doc
 from skewrel.fixtures import GF5, RATIONALS_FIELD
 from skewrel.funalg import InducedAlgebraAction
 from skewrel.relalg import count_ideals
 from skewrel.selftest import random_skew
 
+from helpers import action_doc
 from strategies import draw_any, mutate, reference_elements
 from test_actions import reference_report
 

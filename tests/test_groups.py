@@ -13,6 +13,8 @@ from skewrel import groups
 from skewrel.errors import PreconditionError, StructureError
 from skewrel.groups import GroupElement, GroupSpec
 
+from helpers import group_elements
+
 
 def s3_table_from_permutations():
     """Cayley table oracle: compose permutations of {0,1,2} directly.
@@ -54,10 +56,10 @@ def test_s3_from_cayley_table():
     s3 = GroupSpec.from_table(names, "e", table)
     t12, t13 = s3.parse("(12)"), s3.parse("(13)")
     assert str(t12 * t13) == "(132)"
-    for t in s3.elements():
+    for t in group_elements(s3):
         assert t * t.inverse() == s3.identity()
         assert t.inverse() * t == s3.identity()
-    for a, b, c in itertools.product(s3.elements(), repeat=3):
+    for a, b, c in itertools.product(group_elements(s3), repeat=3):
         assert (a * b) * c == a * (b * c)
 
 
@@ -202,7 +204,7 @@ def test_separately_built_equal_groups_share_elements():
                  (GroupSpec.integers(), GroupSpec.integers())]:
         assert a is b and a == b and hash(a) == hash(b)
         assert a.identity() is a.identity() is b.identity()
-        payloads = range(-3, 4) if a.kind == "integers" else range(len(a.elements()))
+        payloads = range(-3, 4) if a.kind == "integers" else range(len(group_elements(a)))
         keyed_a = {a.element(i): i for i in payloads}
         keyed_b = {b.element(i): i for i in payloads}
         for i in payloads:
@@ -233,7 +235,7 @@ def test_elements_and_groups_are_immutable():
 
 def test_copies_keep_equality_and_lookup():
     for group in (s3(), GroupSpec.cyclic(5)):
-        keyed = {t: str(t) for t in group.elements()}
+        keyed = {t: str(t) for t in group_elements(group)}
         for twin in (copy.copy(keyed), copy.deepcopy(keyed), pickle.loads(pickle.dumps(keyed))):
             for t, name in twin.items():
                 assert keyed[t] == name and twin[group.parse(name)] == name
@@ -262,9 +264,10 @@ def test_pickle_rehashes_under_another_hash_seed():
     # change with PYTHONHASHSEED: a hash carried over in the pickle would miss the
     # keys in the child, which must find each one by parsing its name.
     group = s3()
-    names = [str(t) for t in group.elements()]
-    table = [[str(a * b) for b in group.elements()] for a in group.elements()]
-    payload = pickle.dumps((names, table, hash(names[1]), {t: str(t) for t in group.elements()}))
+    elements = group_elements(group)
+    names = [str(t) for t in elements]
+    table = [[str(a * b) for b in elements] for a in elements]
+    payload = pickle.dumps((names, table, hash(names[1]), {t: str(t) for t in elements}))
     child = """if True:
         import pickle, sys
         from skewrel.groups import GroupElement, GroupSpec
@@ -299,7 +302,7 @@ def klein():
 
 def test_elements_are_interned_with_their_inverse_linked_both_ways():
     for group in (GroupSpec.cyclic(6), GroupSpec.integers(), s3(), klein()):
-        payloads = range(-4, 5) if group.kind == "integers" else range(len(group.elements()))
+        payloads = range(-4, 5) if group.kind == "integers" else range(len(group_elements(group)))
         for p in payloads:
             t = group.element(p)
             assert GroupElement(group, p) is GroupElement(group, p) is t

@@ -434,5 +434,10 @@ def test_by_first_holds_what_convolution_reads(field):
     for f in fs:
         rows = [(y, z, d) for y, row in f.by_first.items() for z, d in row]
         assert sorted((y, z) for y, z, _d in rows) == sorted(f.coeffs)
-        # The raw values themselves: the field's add_products reads them as they are.
-        assert all(d is f.coeffs[y, z] for y, z, d in rows)
+        # The factors the field's add_products reads: over Q each value's integer
+        # parts, read once per entry, over GF(p) the residue itself.
+        if field.modulus is None:
+            assert all(d == (f.coeffs[y, z].numerator, f.coeffs[y, z].denominator)
+                       for y, z, d in rows)
+        else:
+            assert all(d is f.coeffs[y, z] for y, z, d in rows)

@@ -17,6 +17,7 @@ from skewrel.relalg import ExactRowSpace, gamma_inv
 from skewrel.selftest import _squared_skew_mul, random_rel, random_skew, random_value
 from skewrel.skew import SkewElement
 
+from helpers import group_elements
 from strategies import draw_any
 
 Q = FieldSpec(RATIONALS)
@@ -366,7 +367,7 @@ def z2_fixing_a_point(field):
     """Z_2 = {e, g} on one point p with h_g(p) = p: A = F0({p}) x Z_2 is the group algebra."""
     z2 = GroupSpec.cyclic(2)
     alpha = InducedAlgebraAction(field, PartialAction(z2, ["p"], {z2.element(1): {"p": "p"}}))
-    one, g = (SkewElement.monomial(alpha, "p", t) for t in z2.elements())
+    one, g = (SkewElement.monomial(alpha, "p", t) for t in group_elements(z2))
     return alpha, one, g
 
 

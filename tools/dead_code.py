@@ -1,19 +1,22 @@
 """List the functions of src/skewrel that neither the CLI nor the demos enter.
 
 Runs tests/test_golden.py and tests/test_cli.py (which drive every CLI command,
-selftest included, in this process) and the three demos under sys.settrace, and
-reports each function or method defined in src/skewrel that no traced call
-entered. A function that is not entered must be on ALLOWED below, with its reason:
-held by the benchmark's tracer, library API with the test that covers it, or a repr
-or pickling hook. Anything else is dead code: delete it, or move a test-only helper
-to tests/.
+selftest included, in this process) and the three demos under sys.settrace. A
+function of src/skewrel counts as entered only if a call enters it while
+``skewrel.cli.main`` or a demo is running: a test's direct library calls do not
+count, so a name that only tests use shows up here. Each function or method
+defined in src/skewrel that no such call entered must be on ALLOWED below, with
+its reason: held by the benchmark's tracer, library API with the test that covers
+it, or a repr or pickling hook. Anything else is dead code: delete it, or move a
+test-only helper to tests/.
 
     python tools/dead_code.py          # exit 0: every unentered function is allowed
 
 Exits 1 when an unentered function is not allowed, and when an allowed name is
 stale: the run entered it, or it is no longer defined. So the allowlist shrinks
 with the code. The traced run takes about 12 s on a 2-core machine, so it runs as
-a CI step rather than in the test suite.
+a CI step rather than in the test suite; tests/test_api_surface.py checks the
+allowlist's names and test ids statically, without tracing.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ ALLOWED = {
     "funalg.InducedAlgebraAction.__eq__":
         "tests/test_skew.py::TestAddition::test_equal_actions_built_apart_mix",
     "skew.SkewElement.scale": "tests/test_skew.py::TestAddition::test_cancellation",
+    "groups.GroupElement.is_identity":
+        "tests/test_groups.py::test_inverse_and_sort_key_match_their_reference_formulas",
     "errors.Value.__reduce__": HOOK,
     "fields.FieldSpec._args": HOOK,
     "fields.Scalar._args": HOOK,
@@ -82,19 +87,34 @@ def defined_functions() -> dict:
 
 
 def traced_run() -> set:
-    """(file, first line) of every code object in src/skewrel that a call entered."""
-    entered, package = set(), str(PACKAGE) + os.sep
+    """(file, first line) of every code object in src/skewrel that a call entered
+    while cli.main or a demo was running."""
+    from skewrel import cli
+
+    entered, package, main_code = set(), str(PACKAGE) + os.sep, cli.main.__code__
+    running = [0]               # cli.main frames open, plus one while a demo runs
+
+    def leave_main(frame, event, arg):
+        if event == "return":   # also when an exception unwinds the frame
+            running[0] -= 1
+        return leave_main
 
     def tracer(frame, event, arg):
         code = frame.f_code
-        if code.co_filename.startswith(package):
+        opens = code is main_code
+        running[0] += opens
+        if running[0] and code.co_filename.startswith(package):
             entered.add((code.co_filename, code.co_firstlineno))
+        if opens:               # cli.main's local tracer sees it return, and no lines
+            frame.f_trace_lines = False
+            return leave_main
         return None             # no line events: calls alone are enough
 
     import pytest
     sys.settrace(tracer)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", *TESTS])
+        running[0] += 1
         with contextlib.redirect_stdout(io.StringIO()):
             for demo in DEMOS:
                 runpy.run_path(str(demo), run_name="__main__")
