@@ -104,12 +104,13 @@ def parse_group(obj) -> GroupSpec:
             return GroupSpec.integers()
         if kind == "table":
             _require_keys(obj, ["kind", "elements", "identity", "table"], (), "table group")
-            known, table = set(_labels(obj["elements"], "elements")), obj["table"]
+            elements, table = _labels(obj["elements"], "elements"), obj["table"]
+            # Names only, as from_table also takes indices; it refuses an unknown name.
             if not (isinstance(table, list) and all(
-                    isinstance(row, list) and all(isinstance(v, str) and v in known for v in row)
+                    isinstance(row, list) and all(isinstance(v, str) for v in row)
                     for row in table)):
                 raise DocumentError("table must be a list of rows of element names")
-            return GroupSpec.from_table(obj["elements"], obj["identity"], table)
+            return GroupSpec.from_table(elements, obj["identity"], table)
     raise DocumentError("unknown group kind %r" % kind)
 
 

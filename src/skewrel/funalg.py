@@ -288,13 +288,11 @@ def recover_set_action(field: FieldSpec, group, carrier, family) -> PartialActio
     from F0(X_{t^-1}) to F0(X_t))}. Each alpha_t must be induced by a unique
     bijection h_{t^-1}: X_t -> X_{t^-1}; the recovered action is validated by
     the InducedAlgebraAction constructor and must reproduce the family
-    exactly, subcarrier order included.
+    exactly, subcarrier order included. The identity e is read like every t,
+    so an alpha_e that is not the identity of F0(X) is refused with h_e.
     """
-    e = group.identity()
     maps: dict[GroupElement, dict[str, str]] = {}
     for t, (support, alpha_t) in family.items():
-        if t == e:
-            continue
         h_tinv = bijection_from_isomorphism(alpha_t)   # X_t -> X_{t^-1}
         if set(h_tinv) != set(support):
             raise PreconditionError("alpha_%s is not defined on all of F0(X_{t^-1})" % t)
@@ -302,6 +300,6 @@ def recover_set_action(field: FieldSpec, group, carrier, family) -> PartialActio
     theta = PartialAction(group, carrier, maps)
     induced = InducedAlgebraAction(field, theta)
     for t, (support, alpha_t) in family.items():
-        if t != e and induced.as_linear_map(t) != alpha_t:
+        if induced.as_linear_map(t) != alpha_t:
             raise PreconditionError("recovered action does not reproduce alpha_%s" % t)
     return theta

@@ -59,9 +59,11 @@ def _check_table(names, e, table):
 def _table_inverses(names, e, table) -> tuple:
     """The inverse of each index, once the identity, inverse and associative laws hold.
 
-    Associativity is Light's test (Clifford and Preston, 1961): the g with (xg)y = x(gy)
-    for all x, y are closed under products, so only the generators it picks are checked,
-    O(n^2) each. Once rows and columns are permutations, each doubles the group so far."""
+    Associativity is Light's test (Clifford and Preston, 1961): the middles, the g with
+    (xg)y = x(gy) for all x, y, are closed under products, so only the generators it picks
+    are checked, O(n^2) each. Their products reach every element, so a table that is not a
+    group fails at a generator, and rows and columns need no probe of their own. With
+    two-sided inverses a middle's row is a permutation, so each generator doubles the group."""
     n = len(names)
     for i in range(n):
         if table[e][i] != i or table[i][e] != i:
@@ -77,9 +79,6 @@ def _table_inverses(names, e, table) -> tuple:
             if table[table[x][g]][y] != table[x][table[g][y]]:
                 raise StructureError("associativity fails at (%r, %r, %r)"
                                      % (names[x], names[g], names[y]))
-    for g in range(n):          # xa = xb or ax = bx, a != b: g fails between g^-1 and a or b
-        if len(set(table[g])) < n or len({row[g] for row in table}) < n:
-            middle(g)
     generators, generated = [], {e}
     while len(generated) < n:
         generators.append(min(set(range(n)) - generated))   # outside the group so far

@@ -228,13 +228,13 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
     indexed by ``column``. It skips zero products: it forms delta_(x,y) * g
     only for y a first coordinate of g and f * delta_(y,z) only for y a second
     one of f, found through an index of the pairs by each coordinate, built
-    once per call. The ideal lies in the span of T, the (x, e) in R with
-    (x, y), (z, e) in R for a (y, z) in a generator's support; either pass
-    stops at dimension |T|. Over Q, unless a denominator is divisible by
-    P = 2^31 - 1, the passes first run over GF(P) on the generators reduced
-    mod P. Reduction is a ring map there, so it cannot raise the rank: rank |T|
-    makes the answer the unit rows of T, and a shortfall (a numerator
-    divisible by P) runs the exact passes."""
+    once per call. The ideal lies in the span of T, the (x, w) in R with
+    (x, y) in R for a (y, z) in a generator's support (R is transitive, so
+    (z, w) is in R too); either pass stops at dimension |T|. Over Q, unless
+    a denominator is divisible by P = 2^31 - 1, the passes first run over
+    GF(P) on the generators reduced mod P. Reduction is a ring map there, so
+    it cannot raise the rank: rank |T| makes the answer the unit rows of T,
+    and a shortfall (a numerator divisible by P) runs the exact passes."""
     _require_free(rel)
     generators = list(generators)          # read twice: for T and for the products
     if any(g.context != (field, rel) for g in generators):
@@ -246,8 +246,7 @@ def brute_force_ideal_span(field: FieldSpec, rel: Relation, generators) -> Exact
         for i in (0, 1):
             at[i].setdefault(pair[i], []).append(k)
     lefts = {pairs[k][0] for g in generators for y, _z in g.coeffs for k in at[1].get(y, ())}
-    rights = {pairs[k][1] for g in generators for _y, z in g.coeffs for k in at[0].get(z, ())}
-    cover = sorted(k for x in lefts for k in at[0][x] if pairs[k][1] in rights)    # T
+    cover = sorted(k for x in lefts for k in at[0][x])    # T
 
     def span(fld, gens) -> ExactRowSpace:
         """The ideal of gens, each {pair: reduced nonzero value}, as rows over fld."""

@@ -110,6 +110,19 @@ class TestValidation:
         with pytest.raises(StructureError):
             PartialAction(z2, ["a", "b"], {z2.identity(): {"a": "a"}})
 
+    def test_a_map_keyed_by_another_groups_element_is_refused(self):
+        z2, z3 = GroupSpec.cyclic(2), GroupSpec.cyclic(3)
+        with pytest.raises(StructureError, match="^map keyed by element of a different group$"):
+            PartialAction(z2, ["a", "b"], {z3.element(1): {"a": "b"}})
+
+    def test_the_callers_maps_are_copied(self):
+        z3 = GroupSpec.cyclic(3)
+        h = {"a": "b"}
+        pa = PartialAction(z3, ["a", "b", "c"], {z3.element(1): h})
+        pulls = copy.deepcopy(pa.pulls)
+        h["c"] = "c"
+        assert pa.pulls == pulls
+
 
 class TestFreeness:
     def test_fixtures_free(self):
@@ -154,6 +167,12 @@ class TestRelation:
         e = GroupSpec.cyclic(1).identity()
         with pytest.raises(StructureError, match=r"^pair \(z, z\) leaves the carrier$"):
             Relation(("a",), {("a", "a"): [e], ("z", "z"): [e]})
+
+    @pytest.mark.parametrize("pair", [("a", "z"), ("z", "a")], ids=["second-off", "first-off"])
+    def test_a_pair_with_one_point_off_the_carrier_is_refused(self, pair):
+        e = GroupSpec.cyclic(1).identity()
+        with pytest.raises(StructureError, match=r"^pair \(%s, %s\) leaves the carrier$" % pair):
+            Relation(("a",), {("a", "a"): [e], pair: [e]})
 
     def test_classes(self):
         assert equivalence_classes(build_relation(e1_action())) == [["a", "b"], ["c"]]

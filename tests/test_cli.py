@@ -203,7 +203,11 @@ class TestCommands:
       + [pytest.param(dict(E1_DOC, field={"kind": "rationals", "modulus": 5}), None, None,
                       id="rationals-modulus-5"),
          pytest.param(dict(E1_DOC, field={"kind": "rationals", "modulus": None}), None, None,
-                      id="rationals-modulus-null")])
+                      id="rationals-modulus-null")]
+      # A skew term has exactly the keys t and coeffs.
+      + [pytest.param(E1_DOC, "skew", [{"t": "1"}], id="skew-term-without-coeffs"),
+         pytest.param(E1_DOC, "skew", [{"t": "1", "coeffs": {"a": "1"}, "s": "1"}],
+                      id="skew-term-extra-key")])
     def test_malformed_document_exit_3(self, tmp_path, capsys, doc, algebra, element):
         code, _out, err = run_document(tmp_path, capsys, doc, algebra, element)
         assert code == 3
@@ -343,6 +347,15 @@ class TestCommands:
         assert time.process_time() - start < 1.0
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and "at most 16 classes" in err
+
+    def test_ideals_at_the_class_limit(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "e1.json", E1_DOC)       # two classes
+        monkeypatch.setattr(cli, "MAX_IDEAL_CLASSES", 2)
+        code, out, _ = run(capsys, "ideals", path)
+        assert code == 0 and len(json.loads(out)["ideals"]) == 4
+        monkeypatch.setattr(cli, "MAX_IDEAL_CLASSES", 1)
+        assert run(capsys, "ideals", path) == (
+            1, "", "ideals lists at most 1 classes (2^1 ideals); this action has 2\n")
 
     def test_mul_skew(self, tmp_path, capsys):
         action = write(tmp_path, "e1.json", E1_DOC)

@@ -129,6 +129,15 @@ class TestPsi:
         with pytest.raises(PreconditionError):
             psi_from_bijection(Q, {"a": "b", "b": "b", "c": "c"}, XYZ, XYZ)
 
+    @pytest.mark.parametrize("h, source", [
+        ({"a": "a", "b": "b"}, ("a", "b")),             # not defined on all of X
+        ({"a": "a", "b": "b", "c": "d"}, XYZ),          # onto a set other than Y
+        ({"a": "a", "b": "a", "c": "b"}, ("a", "b")),   # onto Y, but not injective
+    ], ids=["domain", "image", "injective"])
+    def test_each_condition_refuses_alone(self, h, source):
+        with pytest.raises(PreconditionError, match="^h is not a bijection between the carriers$"):
+            psi_from_bijection(Q, h, source, XYZ)
+
 
 class TestLinearMapOnBasis:
     def test_missing_column_rejected(self):
@@ -346,6 +355,25 @@ class TestRecovery:
         with pytest.raises(PreconditionError):
             recover_set_action(Q, pa.group, pa.carrier, family)
 
+    def test_a_support_other_than_the_maps_target_is_refused(self):
+        pa = e1_action()
+        family = self._family(Q, pa)
+        g = pa.group.element(1)
+        family[g] = (("a",), family[g][1])
+        with pytest.raises(PreconditionError, match="^alpha_1 is not defined on all of"):
+            recover_set_action(Q, pa.group, pa.carrier, family)
+
+    def test_alpha_e_must_be_the_identity(self):
+        pa = e1_action()
+        e = pa.group.identity()
+        family = self._family(Q, pa)
+        family[e] = (pa.carrier, InducedAlgebraAction(Q, pa).as_linear_map(e))
+        assert recover_set_action(Q, pa.group, pa.carrier, family) == pa
+        swap = psi_from_bijection(Q, {"a": "b", "b": "a", "c": "c"}, pa.carrier, pa.carrier)
+        family[e] = (pa.carrier, swap)
+        with pytest.raises(StructureError, match="^h_e must be the identity on the whole carrier$"):
+            recover_set_action(Q, pa.group, pa.carrier, family)
+
 
 def reference_bijection(gamma):
     """Reference for bijection_from_isomorphism: each row eps_x o gamma must be
@@ -373,11 +401,8 @@ def reference_recovery(field, group, carrier, family):
     """Reference for recover_set_action: the columns must fill each F0(X_t),
     and the recovered action is validated on its own before its alpha_t are
     compared with the family."""
-    e = group.identity()
     maps = {}
     for t, (support, alpha_t) in family.items():
-        if t == e:
-            continue
         if subset_of_ideal(list(alpha_t.columns.values())) != list(alpha_t.target):
             raise PreconditionError("columns of alpha_%s do not fill F0(X_t)" % t)
         h_tinv = reference_bijection(alpha_t)
@@ -389,7 +414,7 @@ def reference_recovery(field, group, carrier, family):
         raise PreconditionError("recovered family is not a partial action")
     induced = InducedAlgebraAction(field, theta, validate=False)
     for t, (support, alpha_t) in family.items():
-        if t != e and induced.as_linear_map(t) != alpha_t:
+        if induced.as_linear_map(t) != alpha_t:
             raise PreconditionError("recovered action does not reproduce alpha_%s" % t)
     return theta
 

@@ -465,6 +465,10 @@ PROBES = [
             lambda: z2_table() and table_spec(((0, 1), (1, 0)), identity_index=False)),
     refused("float-order", "cyclic order must be an int",
             lambda: GroupSpec.cyclic(3) and GroupSpec.cyclic(3.0)),
+    refused("table-index-n", "element index out of range", lambda: GroupElement(z2_table(), 2)),
+    # Every row holds e, but a's right inverse b has b * a = a.
+    refused("one-sided-inverse", "'a' has no two-sided inverse",
+            lambda: table_spec(((0, 1, 2), (1, 2, 0), (2, 1, 0)), names=("e", "a", "b"))),
 ]
 
 

@@ -164,6 +164,14 @@ class TestValidation:
         m = SkewElement.monomial(alpha, "3", two)
         assert SkewElement(alpha, m.coeffs) == m
 
+    @pytest.mark.parametrize("field, carrier", [(Q, ("a", "b", "d")), (F5, ("a", "b", "c"))],
+                             ids=["other-carrier", "other-field"])
+    def test_a_coefficient_over_another_carrier_or_field_is_refused(self, field, carrier):
+        alpha = e1_alpha()
+        a = FunAlgElement.delta(field, carrier, "a")
+        with pytest.raises(PreconditionError, match="^coefficient over the wrong carrier or field$"):
+            SkewElement(alpha, {alpha.action.group.element(1): a})
+
 
 def cyclic_action(n, k):
     """Z_n acting freely by translation on k orbits "i.j" of n points each."""
