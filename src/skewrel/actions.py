@@ -168,17 +168,17 @@ def validate_partial_action(pa: PartialAction) -> ValidationReport:
     if report.violations:
         return report
 
-    # X_u is nonempty only for u in maps, and every side of (2) and (3) meets
-    # two of X_t, X_s, X_ts or their inverses: pairs with fewer than two of
-    # t, s, ts in maps compare only empty sets. The others are (t, s), (t, t^-1 u)
-    # and (u s^-1, s) over t, s, u in maps, built directly: O(|maps|^2) pairs.
-    # Its keys t = e^-1 t and u t^-1 = (u^-1)^-1 t^-1 lie in pa.check_elements().
-    partners: dict[GroupElement, set] = {}
-    for t in maps:
-        ti = t.inverse()
-        for u in maps:
-            partners.setdefault(t, set()).update((u, ti * u))
-            partners.setdefault(u * ti, set()).add(t)
+    # Each side of (2) and (3) meets two domains, so a pair reports only if some y is in both:
+    # for a, b in D(y) = {u : y in X_u}, it is (a^-1, b), (a, a^-1 b) or (b^-1 a, a^-1).
+    at: dict[str, set] = {}                                 # y -> D(y)
+    for u, h in maps.items():
+        for y in h.values():
+            at.setdefault(y, set()).add(u)
+    partners: dict[GroupElement, set] = {}      # each distinct D(y), and each (a, b), once
+    for a, b in {(a, b) for d in set(map(frozenset, at.values())) for a in d for b in d}:
+        partners.setdefault(a.inverse(), set()).add(b)
+        partners.setdefault(a, set()).add(a.inverse() * b)
+        partners.setdefault(b.inverse() * a, set()).add(a.inverse())
     for t in sorted(partners, key=GroupElement.sort_key):
         x_t = subset(t)
         x_tinv = subset(t.inverse())

@@ -295,7 +295,7 @@ def recover_set_action(field: FieldSpec, group, carrier, family) -> PartialActio
     for t, (support, alpha_t) in family.items():
         h_tinv = bijection_from_isomorphism(alpha_t)   # X_t -> X_{t^-1}
         if set(h_tinv) != set(support):
-            raise PreconditionError("alpha_%s is not defined on all of F0(X_{t^-1})" % t)
+            raise PreconditionError("support of alpha_%s is not X_%s, its target" % (t, t))
         maps[t] = {x: y for y, x in h_tinv.items()}    # h_t: X_{t^-1} -> X_t
     theta = PartialAction(group, carrier, maps)
     induced = InducedAlgebraAction(field, theta)

@@ -309,3 +309,26 @@ def test_criterion_12_table_group_validation(tmp_path, capsys):
     elapsed = time.process_time() - start
     ok = code == 0 and json.loads(capsys.readouterr().out)["ok"] and elapsed < 1.0
     report(12, ok, "validate on Z_480 given as a Cayley table in %.2f CPU s" % elapsed)
+
+
+def test_criterion_13_sparse_validation_valid_and_broken(tmp_path, capsys):
+    # The integers by 800 one-pair maps labelled 2, 4, ..., 2^800 on 1 600 points:
+    # pairing every two of the 1 601 maps takes minutes, while each point lies in
+    # two domains. One more map, h_6(p1) = p2, breaks axioms (2) and (3).
+    k = 800
+    maps = [{"t": str(2 ** (i + 1)), "pairs": [["p%d" % (2 * i), "p%d" % (2 * i + 1)]]}
+            for i in range(k)]
+    doc = {"field": {"kind": "rationals"}, "group": {"kind": "integers"},
+           "set": ["p%d" % i for i in range(2 * k)], "maps": maps}
+    times, outcomes = [], []
+    for name, extra in (("sparse-z-800", []), ("broken-sparse-z-800",
+                                               [{"t": "6", "pairs": [["p1", "p2"]]}])):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(dict(doc, maps=maps + extra)))
+        start = time.process_time()
+        code = main(["validate", str(path)])
+        times.append(time.process_time() - start)
+        outcomes.append((code, json.loads(capsys.readouterr().out)["ok"]))
+    ok = outcomes == [(0, True), (1, False)] and max(times) < 2.0
+    report(13, ok, "validate on 800 one-pair maps of the integers, valid and broken, in "
+           "%.2f and %.2f CPU s" % tuple(times))

@@ -25,6 +25,10 @@ CYC_8_12 = os.path.join(ROOT, "tests", "data", "cyc-8-12.json")
 # The integers by 40 one-pair maps labelled 2, 4, ..., 2^40 on 80 points: 3 049
 # elements in the closure set, of which only the 80 listed ones and e carry points.
 SPARSE_Z_40 = os.path.join(ROOT, "tests", "data", "sparse-z-40.json")
+# The same family with 200 maps labelled 2, ..., 2^200 on 400 points: a validator
+# that pairs every two listed maps takes seconds here, one that reads its pairs off
+# the points a fraction of one.
+SPARSE_Z_200 = os.path.join(ROOT, "tests", "data", "sparse-z-200.json")
 # bench/gen.py's chain(12, random.Random(1)): the integers on q0..q11 by
 # h_t(q_i) = q_{i+t} where both exist, listed for t = 1..11, so the action keeps
 # 23 maps (e and t = -11..11) and the validator multiplies and inverts many
@@ -53,11 +57,12 @@ CYC_6_4_GF7_ELEMENTS = {name: os.path.join(ROOT, "tests", "data", "cyc-6-4-gf7-%
 # max_points=6).action) with rng = random.Random(seed): at seed 18, Z_3 on
 # itself has lost the pair 0:0 -> 0:1 of h_1 and its mirror; at seed 23, Z_5
 # on {0:3, 0:4} has h_1 redirected to fix 0:3, and some violations sit at the
-# unlisted t = 2, 3.
+# unlisted t = 2, 3. SPARSE_Z_200 with one more map, h_6(p1) = p2, breaks
+# axioms (2) and (3) at twelve pairs, some at the unlisted t = -10, 10.
 BROKEN = {name: os.path.join(ROOT, "tests", "data", name + ".json")
           for name in ("broken-chain-6-redirect", "broken-z12-dropped-pair",
                        "broken-s3-bad-inverse", "broken-z3-dropped-pair",
-                       "broken-z5-redirect")}
+                       "broken-z5-redirect", "broken-sparse-z-200")}
 
 
 def _demo(name):
@@ -72,6 +77,7 @@ CASES = {
     "ideals-e1": (["ideals", _demo("e1.json")], 0),
     "ideals-e2": (["ideals", _demo("e2.json")], 0),
     "validate-sparse-z-40": (["validate", SPARSE_Z_40], 0),
+    "validate-sparse-z-200": (["validate", SPARSE_Z_200], 0),
     "validate-chain-12": (["validate", CHAIN_12], 0),
     "relation-chain-12": (["relation", CHAIN_12], 0),
     "relation-z3-six-classes": (["relation", Z3_SIX], 0),
